@@ -31,9 +31,18 @@ class Dataset:
         training split is held to that by :func:`check_pairable`."""
         if self.images.shape[0] != self.labels.shape[0]:
             raise DataError("image/label count mismatch")
-        if self.labels.size and (self.labels.min() < 0
-                                 or self.labels.max() >= self.num_classes):
-            raise DataError(f"labels outside [0, {self.num_classes})")
+        _check_labels(self.labels, self.num_classes)
+
+
+def _check_labels(labels: np.ndarray, num_classes: int, where: str = "") -> None:
+    """Reject the first label outside ``[0, num_classes)``, naming its record
+    index and, when ``where`` is given, the file it came from."""
+    bad = np.flatnonzero((labels < 0) | (labels >= num_classes))
+    if bad.size:
+        i = int(bad[0])
+        prefix = f"{where}: " if where else ""
+        raise DataError(f"{prefix}record {i} has label {labels[i]} "
+                        f"outside [0, {num_classes})")
 
 
 @dataclass
@@ -150,6 +159,7 @@ def load_idx(images_path: str, labels_path: str, num_classes: int,
     if raw.shape[0] != labels.shape[0]:
         raise DataError(f"record-count mismatch: {raw.shape[0]} images vs "
                         f"{labels.shape[0]} labels")
+    _check_labels(labels, num_classes, labels_path)
     images = (raw.astype(np.float32) / 255.0)[:, None, :, :]
     ds = Dataset(images=images, labels=labels.astype(np.int64),
                  num_classes=num_classes, split=split)
@@ -192,7 +202,9 @@ def load_cifar_binary(paths, variant: str = "cifar10", split: str = "") -> Datas
             raise DataError(f"{path}: file ends at byte {len(blob)}, not a "
                             f"multiple of the {record}-byte record")
         rows = np.frombuffer(blob, dtype=np.uint8).reshape(-1, record)
-        all_labels.append(rows[:, label_offset].astype(np.int64))
+        labels = rows[:, label_offset].astype(np.int64)
+        _check_labels(labels, num_classes, path)
+        all_labels.append(labels)
         pixels = rows[:, record - _CIFAR_PIXELS:]
         all_images.append(pixels.reshape(-1, 3, 32, 32).astype(np.float32) / 255.0)
 

@@ -186,13 +186,18 @@ def _as_batch_tensor(model: ModelState, batch) -> Tensor:
 
 
 def forward(model: ModelState, batch, mode: str = "eval") -> ForwardTaps:
-    """Single pass yielding logits, embedding, and the regularizer taps."""
+    """Single pass yielding logits, embedding, and the regularizer taps.
+
+    An eval-mode pass runs under ``no_grad``: its taps carry no graph.
+    """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     x = _as_batch_tensor(model, batch)
-    if model.arch == "tiny_vgg":
-        return _forward_tiny_vgg(model, x, mode == "train")
-    return _forward_mini_resnet(model, x, mode == "train")
+    build = _forward_tiny_vgg if model.arch == "tiny_vgg" else _forward_mini_resnet
+    if mode == "train":
+        return build(model, x, True)
+    with T.no_grad():
+        return build(model, x, False)
 
 
 def _forward_tiny_vgg(model: ModelState, x: Tensor, training: bool) -> ForwardTaps:
@@ -210,22 +215,17 @@ def _forward_tiny_vgg(model: ModelState, x: Tensor, training: bool) -> ForwardTa
                        hebbian_activation=hebb, hebbian_weight=p["conv2_w"])
 
 
-def _zero_bias(channels: int) -> Tensor:
-    return T.Tensor(np.zeros(channels))
-
-
 def _res_block(model: ModelState, x: Tensor, block: str, training: bool,
                project: bool = False) -> Tensor:
     p, bn = model.params, model.bn
-    width = p[f"{block}_conv1_w"].shape[0]
-    h = T.conv2d(x, p[f"{block}_conv1_w"], _zero_bias(width), padding=1)
+    h = T.conv2d(x, p[f"{block}_conv1_w"], padding=1)
     h = T.relu(T.batch_norm2d(h, p[f"{block}_bn1_gamma"], p[f"{block}_bn1_beta"],
                               bn[f"{block}_bn1"], training))
-    h = T.conv2d(h, p[f"{block}_conv2_w"], _zero_bias(width), padding=1)
+    h = T.conv2d(h, p[f"{block}_conv2_w"], padding=1)
     h = T.batch_norm2d(h, p[f"{block}_bn2_gamma"], p[f"{block}_bn2_beta"],
                        bn[f"{block}_bn2"], training)
     if project:
-        skip = T.conv2d(x, p[f"{block}_proj_w"], _zero_bias(width))
+        skip = T.conv2d(x, p[f"{block}_proj_w"])
         skip = T.batch_norm2d(skip, p[f"{block}_bnp_gamma"], p[f"{block}_bnp_beta"],
                               bn[f"{block}_bnp"], training)
     else:
@@ -235,7 +235,7 @@ def _res_block(model: ModelState, x: Tensor, block: str, training: bool,
 
 def _forward_mini_resnet(model: ModelState, x: Tensor, training: bool) -> ForwardTaps:
     p, bn = model.params, model.bn
-    h = T.conv2d(x, p["stem_w"], _zero_bias(16), padding=1)
+    h = T.conv2d(x, p["stem_w"], padding=1)
     h = T.relu(T.batch_norm2d(h, p["stem_bn_gamma"], p["stem_bn_beta"],
                               bn["stem_bn"], training))
     h = _res_block(model, h, "s1b1", training)

@@ -10,11 +10,21 @@ construction, so the visit order is deterministic) and accumulates into
 Precision is a run-level switch (`set_default_dtype` / the `default_dtype`
 context manager), not a per-tensor property, so a graph stays homogeneous.
 Gradient verification always runs at 64 bit.
+
+Inside a ``with no_grad():`` block ops record no graph: every output has
+``requires_grad == False`` and no parents, so nothing a backward pass would
+need (masks, closures, kept inputs) outlives the op.  Eval-mode forwards
+run this way.
+
+Layout: every op takes and returns NCHW arrays.  ``conv2d`` alone works in
+NHWC inside, on one padded copy of its input, because its im2col column
+gathers then run along contiguous channels.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -23,6 +33,7 @@ _DTYPES = {"float32": np.float32, "float64": np.float64}
 
 _default_dtype = np.float32
 _debug_checks = False
+_grad_enabled = True
 
 
 def set_default_dtype(name: str) -> None:
@@ -53,6 +64,22 @@ def set_debug_checks(enabled: bool) -> None:
     """When enabled, every primitive asserts its forward output is finite."""
     global _debug_checks
     _debug_checks = bool(enabled)
+
+
+class no_grad:
+    """Context manager: ops inside it record no graph (see module docstring).
+
+    The previous setting is restored on exit, also when the block raises.
+    """
+
+    def __enter__(self) -> None:
+        global _grad_enabled
+        self._saved = _grad_enabled
+        _grad_enabled = False
+
+    def __exit__(self, *exc) -> None:
+        global _grad_enabled
+        _grad_enabled = self._saved
 
 
 def _checked(data: np.ndarray, op: str) -> np.ndarray:
@@ -127,8 +154,9 @@ def _node(data: np.ndarray, parents: Sequence[Tensor]) -> Tensor:
     out = object.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.requires_grad = any(p.requires_grad for p in parents)
-    # Constant subgraphs are pruned so eval-mode forwards build no graph.
+    out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
+    # Constant subgraphs are pruned, and no_grad prunes everything, so
+    # eval-mode forwards build no graph.
     out._parents = tuple(parents) if out.requires_grad else ()
     out._backward = None
     return out
@@ -390,14 +418,52 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def _conv_windows(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
-    # [N, C, Ho, Wo, K, K] strided view over the padded input
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    return win[:, :, ::stride, ::stride]
+def _windows(a: np.ndarray, k: int, stride: int, axes: tuple[int, int]) -> np.ndarray:
+    """Strided view of the K x K windows over ``axes``: the window-start axes
+    stay in place and two trailing [K, K] axes are appended."""
+    win = np.lib.stride_tricks.sliding_window_view(a, (k, k), axis=axes)
+    index = [slice(None)] * a.ndim
+    index[axes[0]] = index[axes[1]] = slice(None, None, stride)
+    return win[tuple(index)]
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of [N, C_in, H, W] with [C_out, C_in, K, K] filters."""
+# Bytes of im2col columns gathered per GEMM: a block this size is still in
+# the core's cache when the GEMM reads it back.
+_COLUMN_BLOCK_BYTES = 4 << 20
+
+
+def _column_gemm(win: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """``win.reshape(-1, mat.shape[0]) @ mat`` for a window view whose first
+    axis is the image, gathering the columns of a block of images at a time.
+
+    A GEMM reduces each output element along the shared axis in an order
+    that does not depend on the row count, so blocking by rows changes no
+    value (the tests pin this); it only bounds the memory of the column
+    matrix.
+    """
+    n, per_image = win.shape[0], math.prod(win.shape[1:])
+    rows_per_image = per_image // mat.shape[0]
+    out = np.empty((n * rows_per_image, mat.shape[1]), dtype=mat.dtype)
+    step = max(1, _COLUMN_BLOCK_BYTES // (per_image * mat.itemsize))
+    for i in range(0, n, step):
+        np.matmul(win[i:i + step].reshape(-1, mat.shape[0]), mat,
+                  out=out[i * rows_per_image:(i + step) * rows_per_image])
+    return out
+
+
+def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
+           padding: int = 0) -> Tensor:
+    """Cross-correlation of [N, C_in, H, W] with [C_out, C_in, K, K] filters.
+
+    im2col: the input is copied once, padded, to NHWC, and each product is
+    a GEMM over a column matrix gathered from that copy.  The forward
+    columns run in (C_in, K, K) order, the order of ``np.tensordot`` over
+    NCHW windows, which fixes the float rounding of every output.  The
+    weight gradient is one GEMM over (K, K, C_in) columns; the input
+    gradient is the full correlation of the stride-dilated output gradient
+    with the flipped kernel, so no K x K scatter is needed.  ``b=None`` adds
+    no bias.
+    """
     _require(x.data.ndim == 4, f"conv2d: expected rank-4 input, got {x.shape}")
     _require(w.data.ndim == 4, f"conv2d: expected rank-4 weight, got {w.shape}")
     n, c_in, h, wdt = x.data.shape
@@ -406,45 +472,55 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     _require(stride >= 1 and padding >= 0, "conv2d: stride must be >= 1 and padding >= 0")
     _require(wc_in == c_in,
              f"conv2d: input has {c_in} channels but weight expects {wc_in}")
-    _require(b.shape == (c_out,),
-             f"conv2d: bias shape {b.shape} does not match {c_out} output channels")
+    _require(b is None or b.shape == (c_out,),
+             f"conv2d: bias shape {None if b is None else b.shape} does not match "
+             f"{c_out} output channels")
     span_h, span_w = h + 2 * padding - k, wdt + 2 * padding - k
     if span_h < 0 or span_w < 0 or span_h % stride or span_w % stride:
         raise ValueError(
             f"conv2d: output size not a positive integer for input {x.shape}, "
             f"kernel {k}, stride {stride}, padding {padding}")
     h_out, w_out = span_h // stride + 1, span_w // stride + 1
+    rows = n * h_out * w_out
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
-        if padding else x.data
-    windows = _conv_windows(xp, k, stride)
-    out_data = np.tensordot(windows, w.data, axes=([1, 4, 5], [1, 2, 3]))
-    out_data = np.ascontiguousarray(out_data.transpose(0, 3, 1, 2))
-    out_data += b.data[None, :, None, None]
-    out = _node(_checked(out_data, "conv2d"), (x, w, b))
+    xp = np.zeros((n, h + 2 * padding, wdt + 2 * padding, c_in), dtype=x.data.dtype)
+    xp[:, padding:padding + h, padding:padding + wdt] = x.data.transpose(0, 2, 3, 1)
+    out_data = _column_gemm(_windows(xp, k, stride, (1, 2)), w.data.reshape(c_out, -1).T)
+    out_data = np.ascontiguousarray(
+        out_data.reshape(n, h_out, w_out, c_out).transpose(0, 3, 1, 2))
+    if b is not None:
+        out_data += b.data[None, :, None, None]
+    parents = (x, w) if b is None else (x, w, b)
+    out = _node(_checked(out_data, "conv2d"), parents)
 
     if out.requires_grad:
         w_data = w.data
         def bwd(g):
+            g_rows = g.transpose(0, 2, 3, 1).reshape(rows, c_out)
             if w.requires_grad:
-                gperm = g.transpose(0, 2, 3, 1)
-                _accum(w, np.tensordot(gperm, windows, axes=([0, 1, 2], [0, 2, 3])))
-            if b.requires_grad:
+                # (K, K, C_in) columns: the innermost copy runs along C_in,
+                # which is contiguous in the NHWC input
+                cols_kkc = _windows(xp, k, stride, (1, 2)).transpose(0, 1, 2, 4, 5, 3)
+                dw = g_rows.T @ cols_kkc.reshape(rows, k * k * c_in)
+                _accum(w, dw.reshape(c_out, k, k, c_in).transpose(0, 3, 1, 2))
+            if b is not None and b.requires_grad:
                 _accum(b, g.sum(axis=(0, 2, 3)))
             if x.requires_grad:
-                # [N, Ho, Wo, C_in, K, K] contributions scattered back onto
-                # the padded input; the K*K loop keeps the scatter order fixed.
-                dwin = np.tensordot(g, w_data, axes=([1], [0]))
-                dxp = np.zeros((n, c_in, h + 2 * padding, wdt + 2 * padding),
-                               dtype=g.dtype)
-                dwin = dwin.transpose(0, 3, 1, 2, 4, 5)
-                for i in range(k):
-                    for j in range(k):
-                        dxp[:, :, i:i + stride * h_out:stride,
-                            j:j + stride * w_out:stride] += dwin[:, :, :, :, i, j]
-                if padding:
-                    dxp = dxp[:, :, padding:-padding, padding:-padding]
-                _accum(x, dxp)
+                # dx is the full correlation of the stride-dilated gradient
+                # with the flipped kernel.  gd holds g at (K-1) + stride * o
+                # in padded-input coordinates, so the window starting at y
+                # covers every output that read input row y; only windows
+                # starting inside the unpadded input are gathered.
+                gd = np.zeros((n, span_h + 2 * k - 1, span_w + 2 * k - 1, c_out),
+                              dtype=g.dtype)
+                gd[:, k - 1:k - 1 + span_h + 1:stride,
+                   k - 1:k - 1 + span_w + 1:stride] = g_rows.reshape(n, h_out, w_out, c_out)
+                win = _windows(gd, k, 1, (1, 2))[:, padding:padding + h,
+                                                 padding:padding + wdt]
+                w_flip = w_data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, c_in)
+                dx = _column_gemm(win.transpose(0, 1, 2, 4, 5, 3), w_flip)
+                dx = dx.reshape(n, h, wdt, c_in)
+                _accum(x, np.ascontiguousarray(dx.transpose(0, 3, 1, 2)))
         out._backward = bwd
     return out
 
@@ -460,7 +536,7 @@ def max_pool2d(x: Tensor, window: int, stride: int) -> Tensor:
             f"window {window}, stride {stride}")
     h_out, w_out = span_h // stride + 1, span_w // stride + 1
 
-    win = _conv_windows(x.data, window, stride)  # [N, C, Ho, Wo, K, K]
+    win = _windows(x.data, window, stride, (2, 3))  # [N, C, Ho, Wo, K, K]
     flat = win.reshape(n, c, h_out, w_out, window * window)
     idx = flat.argmax(axis=4)  # first max wins: deterministic tie-break
     out_data = np.take_along_axis(flat, idx[..., None], axis=4)[..., 0]
@@ -476,8 +552,12 @@ def max_pool2d(x: Tensor, window: int, stride: int) -> Tensor:
             gx = np.zeros((n, c, h * w), dtype=g.dtype)
             ni = np.arange(n)[:, None, None, None]
             ci = np.arange(c)[None, :, None, None]
-            # add.at: overlapping windows accumulate in a fixed order
-            np.add.at(gx, (ni, ci, rows * w + cols), g)
+            if window <= stride:
+                # disjoint windows: every input position receives at most once
+                gx[ni, ci, rows * w + cols] = g
+            else:
+                # add.at: overlapping windows accumulate in a fixed order
+                np.add.at(gx, (ni, ci, rows * w + cols), g)
             _accum(x, gx.reshape(n, c, h, w))
         out._backward = bwd
     return out

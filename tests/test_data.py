@@ -1,6 +1,7 @@
 """Data-module tests: synthetic oracles, format fixtures, augmentation
 properties."""
 
+import re
 import struct
 
 import numpy as np
@@ -101,9 +102,10 @@ class TestIdx:
         assert ds.labels.tolist() == labels
 
     def test_label_out_of_range(self, tmp_path):
-        write_idx_images(tmp_path / "img", np.zeros((2, 4, 4)))
-        write_idx_labels(tmp_path / "lbl", [1, 4])
-        with pytest.raises(D.DataError, match=r"outside \[0, 4\)"):
+        write_idx_images(tmp_path / "img", np.zeros((3, 4, 4)))
+        write_idx_labels(tmp_path / "lbl", [1, 4, 5])
+        message = re.escape(f"{tmp_path / 'lbl'}: record 1 has label 4 outside [0, 4)")
+        with pytest.raises(D.DataError, match=message):
             D.load_idx(str(tmp_path / "img"), str(tmp_path / "lbl"),
                        num_classes=4)
 
@@ -134,10 +136,13 @@ class TestCifar:
             D.load_cifar_binary(str(path), "cifar10")
 
     def test_label_out_of_range(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(bytes([10]) + bytes(3072))
-        with pytest.raises(D.DataError, match=r"outside \[0, 10\)"):
-            D.load_cifar_binary(str(path), "cifar10")
+        good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
+        good.write_bytes(bytes([3]) + bytes(3072))
+        bad.write_bytes(b"".join(bytes([label]) + bytes(3072) for label in (2, 10, 11)))
+        # the first bad record is named, counted within its file
+        message = re.escape(f"{bad}: record 1 has label 10 outside [0, 10)")
+        with pytest.raises(D.DataError, match=message):
+            D.load_cifar_binary([str(good), str(bad)], "cifar10")
 
     def test_loader_bit_exact(self, tmp_path):
         rng = np.random.default_rng(1)

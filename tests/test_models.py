@@ -107,6 +107,32 @@ class TestForwardModes:
         b = M.forward(model, x, "eval").logits.data
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("arch", ["tiny_vgg", "mini_resnet"])
+    def test_eval_records_no_graph(self, arch):
+        model = M.build_model(arch, num_classes=4, input_size=16)
+        x = np.random.default_rng(9).random((2, 3, 16, 16))
+        taps = M.forward(model, x, "eval")
+        for tap in (taps.logits, taps.embedding, taps.hebbian_activation):
+            assert tap.requires_grad is False
+            assert tap._parents == ()
+            assert tap._backward is None
+        # train mode still records one, and the weight tap stays a parameter
+        assert M.forward(model, x, "train").logits._parents != ()
+        assert taps.hebbian_weight.requires_grad
+
+    def test_no_grad_restores_the_flag_after_an_exception(self):
+        w = T.Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                assert not T.square(w).requires_grad
+                raise RuntimeError("inside the block")
+        assert T.square(w).requires_grad
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            assert not T.square(w).requires_grad
+        assert T.square(w).requires_grad
+
     def test_train_mode_updates_bn_eval_does_not(self):
         model = M.build_mini_resnet(num_classes=4, input_size=16)
         x = np.random.default_rng(8).random((2, 3, 16, 16))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hebblab import tensor as T
 
@@ -159,6 +161,134 @@ class TestConv2d:
         assert fd_check(build, [x, w, b]) < 1e-6
 
 
+def conv_loops(x, w, b, g, stride, padding):
+    """Naive loop reference: conv2d output and, for output gradient ``g``,
+    the gradients of x, w and b."""
+    n, _, h, wdt = x.shape
+    c_out, _, k, _ = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    h_out = (h + 2 * padding - k) // stride + 1
+    w_out = (wdt + 2 * padding - k) // stride + 1
+    out = np.empty((n, c_out, h_out, w_out))
+    dxp, dw = np.zeros_like(xp), np.zeros_like(w)
+    for i in range(n):
+        for o in range(c_out):
+            for y in range(h_out):
+                for z in range(w_out):
+                    rows = slice(y * stride, y * stride + k)
+                    cols = slice(z * stride, z * stride + k)
+                    out[i, o, y, z] = b[o] + np.sum(xp[i, :, rows, cols] * w[o])
+                    dw[o] += g[i, o, y, z] * xp[i, :, rows, cols]
+                    dxp[i, :, rows, cols] += g[i, o, y, z] * w[o]
+    dx = dxp[:, :, padding:padding + h, padding:padding + wdt]
+    return out, dx, dw, g.sum(axis=(0, 2, 3))
+
+
+class TestConv2dReference:
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_matches_loops(self, k, stride, padding):
+        rng = np.random.default_rng(100 + 10 * k + 3 * stride + padding)
+        x = rng.normal(size=(2, 3, 5, 7))
+        w = rng.normal(size=(4, 3, k, k))
+        b = rng.normal(size=4)
+        xt, wt, bt = leaf(x), leaf(w), leaf(b)
+        out = T.conv2d(xt, wt, bt, stride=stride, padding=padding)
+        g = rng.normal(size=out.shape)
+        T.sum_all(T.mul_const(out, g)).backward()
+        ref = conv_loops(x, w, b, g, stride, padding)
+        for got, want in zip((out.data, xt.grad, wt.grad, bt.grad), ref):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("n,c_in,size,c_out,k,padding", [
+        (2, 3, 16, 16, 3, 1), (2, 16, 8, 32, 1, 0), (3, 5, 7, 6, 3, 2),
+        # more than one block of images at both precisions
+        (16, 32, 16, 64, 3, 1)])
+    def test_forward_bit_equal_to_tensordot(self, dtype, n, c_in, size, c_out, k,
+                                            padding):
+        # This contraction order fixes the float rounding of every forward
+        # value, and with it the FD gradcheck's evaluation count.
+        rng = np.random.default_rng(7)
+        with T.default_dtype(dtype):
+            x = leaf(rng.normal(size=(n, c_in, size, size)))
+            w = leaf(rng.normal(size=(c_out, c_in, k, k)))
+            b = leaf(rng.normal(size=c_out))
+            out = T.conv2d(x, w, b, padding=padding)
+        pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+        windows = np.lib.stride_tricks.sliding_window_view(
+            np.pad(x.data, pad), (k, k), axis=(2, 3))
+        ref = np.tensordot(windows, w.data, axes=([1, 4, 5], [1, 2, 3]))
+        ref = np.ascontiguousarray(ref.transpose(0, 3, 1, 2))
+        ref += b.data[None, :, None, None]
+        assert out.data.dtype == np.dtype(dtype)
+        assert np.array_equal(out.data, ref)
+
+    def test_image_blocks_change_no_value(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        x, w = rng.normal(size=(5, 4, 6, 6)), rng.normal(size=(3, 4, 3, 3))
+
+        def run():
+            xt, wt = leaf(x), leaf(w)
+            out = T.conv2d(xt, wt, stride=1, padding=1)
+            T.sum_all(T.square(out)).backward()
+            return out.data, xt.grad
+
+        whole = run()
+        monkeypatch.setattr(T, "_COLUMN_BLOCK_BYTES", 1)  # one image per block
+        for a, b in zip(whole, run()):
+            assert np.array_equal(a, b)
+
+    def test_no_bias(self):
+        rng = np.random.default_rng(8)
+        x, w = leaf(rng.normal(size=(2, 3, 5, 5))), leaf(rng.normal(size=(4, 3, 3, 3)))
+        out = T.conv2d(x, w, padding=1)
+        assert out._parents == (x, w)
+        assert np.array_equal(out.data, T.conv2d(x, w, leaf(np.zeros(4)), padding=1).data)
+        with pytest.raises(ValueError, match="bias shape"):
+            T.conv2d(x, w, leaf(np.zeros(3)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 2), c_in=st.integers(1, 3), c_out=st.integers(1, 3),
+           k=st.integers(1, 3), stride=st.integers(1, 3), padding=st.integers(0, 2),
+           out_h=st.integers(1, 3), out_w=st.integers(1, 3), seed=st.integers(0, 2**16))
+    def test_gradients_match_fd_on_random_shapes(self, n, c_in, c_out, k, stride,
+                                                 padding, out_h, out_w, seed):
+        # input sizes chosen so that the output size is integral; an input
+        # smaller than the padding is allowed
+        h = (out_h - 1) * stride + k - 2 * padding
+        wdt = (out_w - 1) * stride + k - 2 * padding
+        assume(h >= 1 and wdt >= 1)
+        rng = np.random.default_rng(seed)
+        x = leaf(rng.normal(size=(n, c_in, h, wdt)))
+        w = leaf(rng.normal(size=(c_out, c_in, k, k)))
+        b = leaf(rng.normal(size=c_out))
+        cot = rng.normal(size=(n, c_out, out_h, out_w))
+
+        def build():
+            out = T.conv2d(x, w, b, stride=stride, padding=padding)
+            return T.sum_all(T.mul_const(out, cot))
+
+        # the objective is linear in each probed element, so a wide step has
+        # no truncation error and divides the rounding error down
+        assert fd_check(build, [x, w, b], eps=1e-2) < 1e-7
+
+
+def pool_add_at_reference(x, g, window, stride):
+    """max_pool2d input gradient routed with np.add.at to the first maximum."""
+    n, c, h, w = x.shape
+    gx = np.zeros_like(x)
+    for y in range(g.shape[2]):
+        for z in range(g.shape[3]):
+            patch = x[:, :, y * stride:y * stride + window,
+                      z * stride:z * stride + window].reshape(n, c, -1)
+            di, dj = np.divmod(patch.argmax(axis=2), window)
+            np.add.at(gx, (np.arange(n)[:, None], np.arange(c)[None, :],
+                           y * stride + di, z * stride + dj), g[:, :, y, z])
+    return gx
+
+
 class TestPooling:
     def test_max_pool_forward(self):
         x = leaf([[[[1.0, 2.0], [3.0, 4.0]]]], requires_grad=False)
@@ -173,6 +303,16 @@ class TestPooling:
             return T.sum_all(T.square(T.max_pool2d(x, window=3, stride=1)))
 
         assert fd_check(build, [x]) < 1e-6
+
+    @pytest.mark.parametrize("window,stride", [(2, 2), (2, 3), (3, 1)])
+    def test_max_pool_gradient_matches_add_at(self, window, stride):
+        # integer values force ties: the first maximum takes the gradient
+        rng = np.random.default_rng(6)
+        x = leaf(rng.integers(0, 3, size=(2, 3, 8, 8)).astype(float))
+        out = T.max_pool2d(x, window=window, stride=stride)
+        g = rng.normal(size=out.shape)
+        T.sum_all(T.mul_const(out, g)).backward()
+        assert np.array_equal(x.grad, pool_add_at_reference(x.data, g, window, stride))
 
     def test_global_avg_pool(self):
         x = leaf(np.arange(8.0).reshape(1, 2, 2, 2), requires_grad=False)
