@@ -16,6 +16,13 @@ DATA_SOURCES = ("synthetic", "idx", "cifar10", "cifar100")
 PRECISIONS = ("float32", "float64")
 HEBB_STATS = ("mean", "max_per_map")
 IMAGE_SIZES = (16, 28, 32)
+# Data fields a file-backed source fixes: CIFAR records are 32x32 RGB with
+# 10 or 100 labels (the fine label for cifar100); IDX images are grayscale.
+_SOURCE_FIXES = {
+    "cifar10": {"num_classes": 10, "image_size": 32, "channels": 3},
+    "cifar100": {"num_classes": 100, "image_size": 32, "channels": 3},
+    "idx": {"channels": 1},
+}
 
 
 class ConfigError(ValueError):
@@ -165,8 +172,10 @@ def _assign(cfg: FullConfig, section: str, key: str, value) -> None:
 
 def _validate(cfg: FullConfig, lines_of: dict[tuple[str, str], int],
               origin: str) -> None:
-    def fail(section: str, key: str, message: str) -> None:
-        lineno = lines_of.get((section, key))
+    def fail(section: str, key: str, message: str, also: str = "") -> None:
+        # a check on two keys names the line of ``key``, or of ``also`` when
+        # only that one was written
+        lineno = lines_of.get((section, key)) or lines_of.get((section, also))
         where = f"{origin}:{lineno}: " if lineno else f"{origin}: "
         raise ConfigError(f"{where}{key} {message}")
 
@@ -212,6 +221,10 @@ def _validate(cfg: FullConfig, lines_of: dict[tuple[str, str], int],
         fail("data", "channels", "must be >= 1")
     if d.noise < 0:
         fail("data", "noise", "must be >= 0")
+    for name, want in _SOURCE_FIXES.get(d.source, {}).items():
+        if getattr(d, name) != want:
+            fail("data", name, f"must be {want} for {d.source} data, got "
+                 f"{getattr(d, name)}", also="source")
     if d.source == "synthetic":
         for name in ("train_per_class", "val_per_class", "test_per_class"):
             if getattr(d, name) < 2:

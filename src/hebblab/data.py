@@ -19,8 +19,6 @@ class Dataset:
     labels: np.ndarray            # [M] int64
     num_classes: int
     split: str = ""
-    mean: np.ndarray | None = None  # per-channel stats, train split only
-    std: np.ndarray | None = None
 
     def __len__(self) -> int:
         return int(self.images.shape[0])

@@ -16,9 +16,12 @@ Inside a ``with no_grad():`` block ops record no graph: every output has
 need (masks, closures, kept inputs) outlives the op.  Eval-mode forwards
 run this way.
 
-Layout: every op takes and returns NCHW arrays.  ``conv2d`` alone works in
-NHWC inside, on one padded copy of its input, because its im2col column
-gathers then run along contiguous channels.
+Layout: every op takes and returns NCHW arrays, and works on them in NCHW.
+``conv2d`` keeps one zero-padded NCHW copy of its input and builds im2col
+columns from it by strided slab copies; only its input gradient gathers in
+NHWC, from the dilated output gradient.  Its forward matches the
+``np.tensordot`` contraction bit for bit on every backbone shape, but not on
+every shape (see ``conv2d``).
 """
 
 from __future__ import annotations
@@ -162,11 +165,19 @@ def _node(data: np.ndarray, parents: Sequence[Tensor]) -> Tensor:
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    # Copy on first accumulation: closures may hand the same array object to
-    # several parents (e.g. add passes its output gradient through).
+def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add ``g`` into ``t.grad``.
+
+    ``owned`` says the closure has just allocated ``g`` and holds no other
+    reference to it, so the first accumulation may keep it as ``t.grad``.
+    Any other array is copied first: closures pass their output gradient
+    through (``add`` hands the same array to both parents) or pass views
+    of it (``reshape``, broadcasts), which a later ``+=`` must not write.
+    A numpy scalar or an array of another dtype is converted either way.
+    """
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype)
+        keep = owned and isinstance(g, np.ndarray) and g.dtype == t.data.dtype
+        t.grad = g if keep else np.array(g, dtype=t.data.dtype)
     else:
         t.grad += g
 
@@ -206,7 +217,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
             if a.requires_grad:
                 _accum(a, g)
             if b.requires_grad:
-                _accum(b, -g)
+                _accum(b, -g, owned=True)
         out._backward = bwd
     return out
 
@@ -218,9 +229,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         a_data, b_data = a.data, b.data
         def bwd(g):
             if a.requires_grad:
-                _accum(a, g * b_data)
+                _accum(a, g * b_data, owned=True)
             if b.requires_grad:
-                _accum(b, g * a_data)
+                _accum(b, g * a_data, owned=True)
         out._backward = bwd
     return out
 
@@ -230,7 +241,7 @@ def scale(a: Tensor, s: float) -> Tensor:
     out = _node(_checked(a.data * s, "scale"), (a,))
     if out.requires_grad:
         def bwd(g):
-            _accum(a, g * s)
+            _accum(a, g * s, owned=True)
         out._backward = bwd
     return out
 
@@ -261,7 +272,7 @@ def mul_const(a: Tensor, c: np.ndarray) -> Tensor:
     out = _node(_checked(a.data * c, "mul_const"), (a,))
     if out.requires_grad:
         def bwd(g):
-            _accum(a, g * c)
+            _accum(a, g * c, owned=True)
         out._backward = bwd
     return out
 
@@ -271,7 +282,7 @@ def square(a: Tensor) -> Tensor:
     if out.requires_grad:
         a_data = a.data
         def bwd(g):
-            _accum(a, 2.0 * a_data * g)
+            _accum(a, 2.0 * a_data * g, owned=True)
         out._backward = bwd
     return out
 
@@ -285,7 +296,7 @@ def sqrt(a: Tensor) -> Tensor:
             # Subgradient 0 at the origin, mirroring the relu convention.
             denom = 2.0 * root
             ga = np.divide(g, denom, out=np.zeros_like(g), where=denom > 0)
-            _accum(a, ga)
+            _accum(a, ga, owned=True)
         out._backward = bwd
     return out
 
@@ -296,7 +307,7 @@ def relu(a: Tensor) -> Tensor:
     if out.requires_grad:
         mask = a.data > 0  # subgradient at exactly 0 is 0
         def bwd(g):
-            _accum(a, g * mask)
+            _accum(a, g * mask, owned=True)
         out._backward = bwd
     return out
 
@@ -311,7 +322,7 @@ def sigmoid(a: Tensor) -> Tensor:
     out = _node(_checked(out_data, "sigmoid"), (a,))
     if out.requires_grad:
         def bwd(g):
-            _accum(a, g * out_data * (1.0 - out_data))
+            _accum(a, g * out_data * (1.0 - out_data), owned=True)
         out._backward = bwd
     return out
 
@@ -334,7 +345,7 @@ def sum_all(a: Tensor) -> Tensor:
     out = _node(_checked(np.sum(a.data), "sum_all"), (a,))
     if out.requires_grad:
         def bwd(g):
-            _accum(a, np.full(a.data.shape, g, dtype=a.data.dtype))
+            _accum(a, np.full(a.data.shape, g, dtype=a.data.dtype), owned=True)
         out._backward = bwd
     return out
 
@@ -344,7 +355,7 @@ def mean_all(a: Tensor) -> Tensor:
     out = _node(_checked(np.mean(a.data), "mean_all"), (a,))
     if out.requires_grad:
         def bwd(g):
-            _accum(a, np.full(a.data.shape, g / n, dtype=a.data.dtype))
+            _accum(a, np.full(a.data.shape, g / n, dtype=a.data.dtype), owned=True)
         out._backward = bwd
     return out
 
@@ -387,7 +398,7 @@ def spatial_max(a: Tensor) -> Tensor:
         def bwd(g):
             gflat = np.zeros((n, c, h * w), dtype=a.data.dtype)
             np.put_along_axis(gflat, idx[:, :, None], g[:, :, None], axis=2)
-            _accum(a, gflat.reshape(n, c, h, w))
+            _accum(a, gflat.reshape(n, c, h, w), owned=True)
         out._backward = bwd
     return out
 
@@ -409,11 +420,11 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         x_data, w_data = x.data, w.data
         def bwd(g):
             if x.requires_grad:
-                _accum(x, g @ w_data.T)
+                _accum(x, g @ w_data.T, owned=True)
             if w.requires_grad:
-                _accum(w, x_data.T @ g)
+                _accum(w, x_data.T @ g, owned=True)
             if b.requires_grad:
-                _accum(b, g.sum(axis=0))
+                _accum(b, g.sum(axis=0), owned=True)
         out._backward = bwd
     return out
 
@@ -427,9 +438,38 @@ def _windows(a: np.ndarray, k: int, stride: int, axes: tuple[int, int]) -> np.nd
     return win[tuple(index)]
 
 
+def _offset_view(a: np.ndarray, i: int, j: int, stride: int, h_out: int,
+                 w_out: int) -> np.ndarray:
+    """The [..., Ho, Wo] view of ``a`` holding, for every window, the element
+    at offset (i, j) inside it."""
+    return a[..., i:i + stride * (h_out - 1) + 1:stride,
+             j:j + stride * (w_out - 1) + 1:stride]
+
+
 # Bytes of im2col columns gathered per GEMM: a block this size is still in
 # the core's cache when the GEMM reads it back.
 _COLUMN_BLOCK_BYTES = 4 << 20
+
+
+def _images_per_block(per_image: int, itemsize: int) -> int:
+    """Images per block when each image has ``per_image`` column elements."""
+    return max(1, _COLUMN_BLOCK_BYTES // (per_image * itemsize))
+
+
+def _columns(xp: np.ndarray, k: int, stride: int, h_out: int, w_out: int) -> np.ndarray:
+    """im2col columns of a block of padded NCHW images as a
+    [C_in * K * K, nb * Ho * Wo] matrix, rows in (C_in, K, K) order.
+
+    Each of the K * K offsets is one strided slab copy whose inner runs lie
+    along W; no window is copied on its own.
+    """
+    nb, c_in = xp.shape[:2]
+    cols = np.empty((c_in, k, k, nb, h_out, w_out), dtype=xp.dtype)
+    by_channel = xp.transpose(1, 0, 2, 3)
+    for i in range(k):
+        for j in range(k):
+            cols[:, i, j] = _offset_view(by_channel, i, j, stride, h_out, w_out)
+    return cols.reshape(c_in * k * k, nb * h_out * w_out)
 
 
 def _column_gemm(win: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -444,7 +484,7 @@ def _column_gemm(win: np.ndarray, mat: np.ndarray) -> np.ndarray:
     n, per_image = win.shape[0], math.prod(win.shape[1:])
     rows_per_image = per_image // mat.shape[0]
     out = np.empty((n * rows_per_image, mat.shape[1]), dtype=mat.dtype)
-    step = max(1, _COLUMN_BLOCK_BYTES // (per_image * mat.itemsize))
+    step = _images_per_block(per_image, mat.itemsize)
     for i in range(0, n, step):
         np.matmul(win[i:i + step].reshape(-1, mat.shape[0]), mat,
                   out=out[i * rows_per_image:(i + step) * rows_per_image])
@@ -455,14 +495,21 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
            padding: int = 0) -> Tensor:
     """Cross-correlation of [N, C_in, H, W] with [C_out, C_in, K, K] filters.
 
-    im2col: the input is copied once, padded, to NHWC, and each product is
-    a GEMM over a column matrix gathered from that copy.  The forward
-    columns run in (C_in, K, K) order, the order of ``np.tensordot`` over
-    NCHW windows, which fixes the float rounding of every output.  The
-    weight gradient is one GEMM over (K, K, C_in) columns; the input
-    gradient is the full correlation of the stride-dilated output gradient
-    with the flipped kernel, so no K x K scatter is needed.  ``b=None`` adds
-    no bias.
+    im2col: the input is copied once, zero-padded, in NCHW, and the backward
+    closure keeps that copy.  The forward and the weight gradient build
+    (C_in, K, K)-ordered columns from it a block of images at a time, by
+    K * K strided slab copies (``_columns``).  The forward is
+    ``cols.T @ w.T`` per block: the contraction of ``np.tensordot`` over
+    NCHW windows, with BLAS given the transposed operand.  It equals
+    ``np.tensordot`` bit for bit on every backbone shape and every test
+    shape, but that is a property of the BLAS kernels, not of the formula:
+    at (N, C_in, H, C_out) = (3, 5, 7, 6), K = 3, padding 1, most outputs
+    differ by one rounding (up to 1.6e-7 of the largest output at float32,
+    4e-16 at float64).  The weight gradient sums ``cols @ g`` over the
+    blocks.  The input gradient is the full correlation of the
+    stride-dilated output gradient with the flipped kernel, gathered in NHWC
+    (the only NHWC array here), so no K x K scatter is needed.  ``b=None``
+    adds no bias.
     """
     _require(x.data.ndim == 4, f"conv2d: expected rank-4 input, got {x.shape}")
     _require(w.data.ndim == 4, f"conv2d: expected rank-4 weight, got {w.shape}")
@@ -481,13 +528,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
             f"conv2d: output size not a positive integer for input {x.shape}, "
             f"kernel {k}, stride {stride}, padding {padding}")
     h_out, w_out = span_h // stride + 1, span_w // stride + 1
-    rows = n * h_out * w_out
+    hw = h_out * w_out
+    step = _images_per_block(c_in * k * k * hw, x.data.itemsize)
 
-    xp = np.zeros((n, h + 2 * padding, wdt + 2 * padding, c_in), dtype=x.data.dtype)
-    xp[:, padding:padding + h, padding:padding + wdt] = x.data.transpose(0, 2, 3, 1)
-    out_data = _column_gemm(_windows(xp, k, stride, (1, 2)), w.data.reshape(c_out, -1).T)
+    xp = np.zeros((n, c_in, h + 2 * padding, wdt + 2 * padding), dtype=x.data.dtype)
+    xp[:, :, padding:padding + h, padding:padding + wdt] = x.data
+    w_cols = w.data.reshape(c_out, -1).T
+    out_rows = np.empty((n * hw, c_out), dtype=x.data.dtype)
+    for i in range(0, n, step):
+        np.matmul(_columns(xp[i:i + step], k, stride, h_out, w_out).T, w_cols,
+                  out=out_rows[i * hw:(i + step) * hw])
     out_data = np.ascontiguousarray(
-        out_data.reshape(n, h_out, w_out, c_out).transpose(0, 3, 1, 2))
+        out_rows.reshape(n, h_out, w_out, c_out).transpose(0, 3, 1, 2))
     if b is not None:
         out_data += b.data[None, :, None, None]
     parents = (x, w) if b is None else (x, w, b)
@@ -496,15 +548,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
     if out.requires_grad:
         w_data = w.data
         def bwd(g):
-            g_rows = g.transpose(0, 2, 3, 1).reshape(rows, c_out)
+            g_rows = g.transpose(0, 2, 3, 1).reshape(n * hw, c_out)
             if w.requires_grad:
-                # (K, K, C_in) columns: the innermost copy runs along C_in,
-                # which is contiguous in the NHWC input
-                cols_kkc = _windows(xp, k, stride, (1, 2)).transpose(0, 1, 2, 4, 5, 3)
-                dw = g_rows.T @ cols_kkc.reshape(rows, k * k * c_in)
-                _accum(w, dw.reshape(c_out, k, k, c_in).transpose(0, 3, 1, 2))
+                # summed over the blocks as [C_in * K * K, C_out]: that GEMM
+                # layout runs faster than its transpose
+                dw = np.zeros((c_in * k * k, c_out), dtype=g.dtype)
+                for i in range(0, n, step):
+                    dw += _columns(xp[i:i + step], k, stride, h_out, w_out) \
+                        @ g_rows[i * hw:(i + step) * hw]
+                _accum(w, np.ascontiguousarray(dw.T).reshape(w_data.shape), owned=True)
             if b is not None and b.requires_grad:
-                _accum(b, g.sum(axis=(0, 2, 3)))
+                _accum(b, g.sum(axis=(0, 2, 3)), owned=True)
             if x.requires_grad:
                 # dx is the full correlation of the stride-dilated gradient
                 # with the flipped kernel.  gd holds g at (K-1) + stride * o
@@ -520,12 +574,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
                 w_flip = w_data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, c_in)
                 dx = _column_gemm(win.transpose(0, 1, 2, 4, 5, 3), w_flip)
                 dx = dx.reshape(n, h, wdt, c_in)
-                _accum(x, np.ascontiguousarray(dx.transpose(0, 3, 1, 2)))
+                _accum(x, np.ascontiguousarray(dx.transpose(0, 3, 1, 2)), owned=True)
         out._backward = bwd
     return out
 
 
 def max_pool2d(x: Tensor, window: int, stride: int) -> Tensor:
+    """Max over [window, window] windows at ``stride``; NaN propagates.
+
+    The forward is a running ``np.maximum`` over the window * window offset
+    views, so no window is copied and no index is kept.  The backward gives
+    each window's gradient to its first maximum in row-major order; a
+    window whose maximum is NaN passes none.
+    """
     _require(x.data.ndim == 4, f"max_pool2d: expected rank-4 input, got {x.shape}")
     n, c, h, w = x.data.shape
     _require(window >= 1 and stride >= 1, "max_pool2d: window and stride must be >= 1")
@@ -535,30 +596,39 @@ def max_pool2d(x: Tensor, window: int, stride: int) -> Tensor:
             f"max_pool2d: output size not a positive integer for input {x.shape}, "
             f"window {window}, stride {stride}")
     h_out, w_out = span_h // stride + 1, span_w // stride + 1
+    offsets = [(i, j) for i in range(window) for j in range(window)]
 
-    win = _windows(x.data, window, stride, (2, 3))  # [N, C, Ho, Wo, K, K]
-    flat = win.reshape(n, c, h_out, w_out, window * window)
-    idx = flat.argmax(axis=4)  # first max wins: deterministic tie-break
-    out_data = np.take_along_axis(flat, idx[..., None], axis=4)[..., 0]
+    def view(a, i, j):
+        return _offset_view(a, i, j, stride, h_out, w_out)
+
+    x_data = x.data
+    out_data = view(x_data, 0, 0).copy()
+    for i, j in offsets[1:]:
+        # on a tie np.maximum returns its second operand, so the earlier
+        # offset keeps its bits (+0.0 against -0.0)
+        np.maximum(view(x_data, i, j), out_data, out=out_data)
     out = _node(_checked(out_data, "max_pool2d"), (x,))
 
     if out.requires_grad:
         def bwd(g):
-            di, dj = np.divmod(idx, window)
-            oy = np.arange(h_out)[None, None, :, None] * stride
-            ox = np.arange(w_out)[None, None, None, :] * stride
-            rows = oy + di
-            cols = ox + dj
-            gx = np.zeros((n, c, h * w), dtype=g.dtype)
-            ni = np.arange(n)[:, None, None, None]
-            ci = np.arange(c)[None, :, None, None]
-            if window <= stride:
-                # disjoint windows: every input position receives at most once
-                gx[ni, ci, rows * w + cols] = g
-            else:
-                # add.at: overlapping windows accumulate in a fixed order
-                np.add.at(gx, (ni, ci, rows * w + cols), g)
-            _accum(x, gx.reshape(n, c, h, w))
+            # an offset takes a window's gradient where it holds the maximum
+            # and no earlier offset did (``free`` marks the windows not yet
+            # taken; a hit lies inside it, so xor removes it)
+            free = np.ones(out_data.shape, dtype=bool)
+            hits = []
+            for i, j in offsets:
+                hit = view(x_data, i, j) == out_data
+                hit &= free
+                free ^= hit
+                hits.append(hit)
+            # last offset first: an input that several overlapping windows
+            # feed receives their gradients in window order, as np.add.at
+            # would add them
+            gx = np.zeros((n, c, h, w), dtype=g.dtype)
+            for (i, j), hit in zip(reversed(offsets), reversed(hits)):
+                target = view(gx, i, j)
+                target += g * hit
+            _accum(x, gx, owned=True)
         out._backward = bwd
     return out
 
@@ -633,9 +703,9 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: BatchNormStats,
             gsum = g.sum(axis=(0, 2, 3))
             gx_sum = (g * xhat).sum(axis=(0, 2, 3))
             if gamma.requires_grad:
-                _accum(gamma, gx_sum)
+                _accum(gamma, gx_sum, owned=True)
             if beta.requires_grad:
-                _accum(beta, gsum)
+                _accum(beta, gsum, owned=True)
             if x.requires_grad:
                 coeff = (gamma_data * inv_std)[None, :, None, None]
                 if training:
@@ -643,7 +713,7 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: BatchNormStats,
                                   - xhat * gx_sum[None, :, None, None] / count)
                 else:
                     gx = coeff * g
-                _accum(x, gx)
+                _accum(x, gx, owned=True)
         out._backward = bwd
     return out
 
@@ -663,7 +733,7 @@ def log_softmax(logits: Tensor) -> Tensor:
     if out.requires_grad:
         softmax = np.exp(out_data)
         def bwd(g):
-            _accum(logits, g - softmax * g.sum(axis=1, keepdims=True))
+            _accum(logits, g - softmax * g.sum(axis=1, keepdims=True), owned=True)
         out._backward = bwd
     return out
 
@@ -682,7 +752,7 @@ def pick(a: Tensor, indices: np.ndarray) -> Tensor:
         def bwd(g):
             ga = np.zeros_like(a.data)
             ga[rows, idx] = g
-            _accum(a, ga)
+            _accum(a, ga, owned=True)
         out._backward = bwd
     return out
 

@@ -1,0 +1,113 @@
+"""Config parser tests: the canonical rendering round-trips, and every bad
+line is rejected with its line number."""
+
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hebblab.config import (ConfigError, DataConfig, FullConfig, TrainConfig,
+                            parse_config_text, render_effective)
+
+BASE = render_effective(FullConfig()).splitlines()
+
+
+def key_lines() -> list[int]:
+    """Indices into BASE of the ``key = value`` lines."""
+    return [i for i, line in enumerate(BASE) if "=" in line]
+
+
+def section_end(i: int) -> int:
+    """Index just past the last line of the section holding BASE[i]."""
+    j = i + 1
+    while j < len(BASE) and not BASE[j].startswith("["):
+        j += 1
+    return j
+
+
+def default_of(line: str):
+    """The default value of the key that a BASE line sets."""
+    key = line.partition("=")[0].strip()
+    for obj in (FullConfig(), FullConfig().data, FullConfig().train):
+        if hasattr(obj, key):
+            return getattr(obj, key)
+    raise KeyError(key)
+
+
+def rejected_at(text: str, lineno: int, match: str) -> None:
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text, origin="cfg")
+    assert re.match(rf"cfg:{lineno}: .*{match}", str(err.value)), str(err.value)
+
+
+class TestRoundTrip:
+    def test_defaults(self):
+        cfg = FullConfig()
+        assert parse_config_text(render_effective(cfg)) == cfg
+
+    def test_non_default_values(self):
+        cfg = FullConfig(
+            arch="mini_resnet",
+            data=DataConfig(source="cifar10", num_classes=10, image_size=32,
+                            train_images="a.bin,b.bin", test_images="t.bin"),
+            train=TrainConfig(epochs_phase1=3, swa_start_epoch=2, lr_phase1=0.1 / 3,
+                              augment=False, precision="float64", margin=0.7,
+                              hebb_activation_stat="max_per_map", haf_tau=0.25))
+        assert parse_config_text(render_effective(cfg)) == cfg
+
+
+class TestBadLines:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), key=st.from_regex(r"\Azz[a-z_]{0,8}\Z"))
+    def test_unknown_key(self, data, key):
+        at = data.draw(st.integers(1, len(BASE)))  # after the first header
+        lines = BASE[:at] + [f"{key} = 1"] + BASE[at:]
+        rejected_at("\n".join(lines), at + 1, f"unknown key '{key}'")
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_duplicate_key(self, data):
+        i = data.draw(st.sampled_from(key_lines()))
+        at = data.draw(st.integers(i + 1, section_end(i)))
+        lines = BASE[:at] + [BASE[i]] + BASE[at:]
+        key = BASE[i].partition("=")[0].strip()
+        rejected_at("\n".join(lines), at + 1, f"duplicate key '{key}'")
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), bad=st.sampled_from(["x", "1.5.2", "ten", "--"]))
+    def test_badly_typed_value(self, data, bad):
+        typed = [i for i in key_lines()
+                 if type(default_of(BASE[i])) in (int, float, bool)]
+        i = data.draw(st.sampled_from(typed))
+        key = BASE[i].partition("=")[0].strip()
+        lines = BASE[:i] + [f"{key} = {bad}"] + BASE[i + 1:]
+        rejected_at("\n".join(lines), i + 1, f"bad value for {key}")
+
+
+class TestCrossField:
+    @pytest.mark.parametrize("source,body,lineno,key", [
+        ("cifar10", "num_classes = 4", 3, "num_classes"),
+        ("cifar100", "num_classes = 10", 3, "num_classes"),
+        ("cifar10", "num_classes = 10\nimage_size = 16", 4, "image_size"),
+        ("cifar100", "num_classes = 100\nimage_size = 32\nchannels = 1", 5, "channels"),
+        ("idx", "channels = 3", 3, "channels"),
+    ])
+    def test_source_fixes_field(self, source, body, lineno, key):
+        text = (f"[data]\nsource = {source}\n{body}\n"
+                "train_images = a\ntrain_labels = b\ntest_images = c\ntest_labels = d\n")
+        rejected_at(text, lineno, f"{key} must be .* for {source} data")
+
+    def test_defaulted_field_names_the_source_line(self):
+        # num_classes keeps its default (4); the conflict is the source line
+        text = "# cifar\n[data]\nsource = cifar10\ntrain_images = a\ntest_images = b\n"
+        rejected_at(text, 3, "num_classes must be 10 for cifar10 data, got 4")
+
+    def test_consistent_file_sources_parse(self):
+        cifar = parse_config_text("[data]\nsource = cifar100\nnum_classes = 100\n"
+                                  "image_size = 32\ntrain_images = a\ntest_images = b\n")
+        assert cifar.data.num_classes == 100
+        idx = parse_config_text("[data]\nsource = idx\nchannels = 1\nimage_size = 28\n"
+                                "train_images = a\ntrain_labels = b\n"
+                                "test_images = c\ntest_labels = d\n")
+        assert idx.data.channels == 1

@@ -201,13 +201,21 @@ class TestConv2dReference:
         for got, want in zip((out.data, xt.grad, wt.grad, bt.grad), ref):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    @pytest.mark.parametrize("n,c_in,size,c_out,k,padding", [
-        (2, 3, 16, 16, 3, 1), (2, 16, 8, 32, 1, 0), (3, 5, 7, 6, 3, 2),
-        # more than one block of images at both precisions
-        (16, 32, 16, 64, 3, 1)])
-    def test_forward_bit_equal_to_tensordot(self, dtype, n, c_in, size, c_out, k,
-                                            padding):
+    @pytest.mark.parametrize("n,c_in,size,c_out,k,padding,dtype", [
+        *[(*shape, dtype) for shape in [
+            (2, 3, 16, 16, 3, 1), (2, 16, 8, 32, 1, 0), (3, 5, 7, 6, 3, 2),
+            # more than one block of images at both precisions
+            (16, 32, 16, 64, 3, 1)] for dtype in ("float32", "float64")],
+        # tiny_vgg at 32x32, batch 64: conv1 to conv4
+        *[(64, c_in, size, c_out, 3, 1, "float32") for c_in, size, c_out in [
+            (3, 32, 32), (32, 32, 32), (32, 16, 64), (64, 8, 128)]],
+        # both backbones at 16x16, N = 2: tiny_vgg conv1 to conv4, then the
+        # mini_resnet 3x3 convs not listed above
+        *[(2, c_in, size, c_out, 3, 1, "float64") for c_in, size, c_out in [
+            (3, 16, 32), (32, 16, 32), (32, 8, 64), (64, 4, 128),
+            (16, 16, 16), (16, 8, 32), (32, 8, 32)]]])
+    def test_forward_bit_equal_to_tensordot(self, n, c_in, size, c_out, k, padding,
+                                            dtype):
         # This contraction order fixes the float rounding of every forward
         # value, and with it the FD gradcheck's evaluation count.
         rng = np.random.default_rng(7)
@@ -233,12 +241,15 @@ class TestConv2dReference:
             xt, wt = leaf(x), leaf(w)
             out = T.conv2d(xt, wt, stride=1, padding=1)
             T.sum_all(T.square(out)).backward()
-            return out.data, xt.grad
+            return out.data, xt.grad, wt.grad
 
         whole = run()
         monkeypatch.setattr(T, "_COLUMN_BLOCK_BYTES", 1)  # one image per block
-        for a, b in zip(whole, run()):
+        blocked = run()
+        for a, b in zip(whole[:2], blocked[:2]):
             assert np.array_equal(a, b)
+        # the weight gradient sums one GEMM per block, which rounds differently
+        np.testing.assert_allclose(blocked[2], whole[2], rtol=1e-12, atol=0)
 
     def test_no_bias(self):
         rng = np.random.default_rng(8)
@@ -304,15 +315,37 @@ class TestPooling:
 
         assert fd_check(build, [x]) < 1e-6
 
-    @pytest.mark.parametrize("window,stride", [(2, 2), (2, 3), (3, 1)])
+    @pytest.mark.parametrize("window,stride", [(2, 2), (2, 3), (3, 1), (3, 2), (2, 1)])
     def test_max_pool_gradient_matches_add_at(self, window, stride):
         # integer values force ties: the first maximum takes the gradient
         rng = np.random.default_rng(6)
-        x = leaf(rng.integers(0, 3, size=(2, 3, 8, 8)).astype(float))
+        size = next(s for s in range(8, 8 + stride) if (s - window) % stride == 0)
+        x = leaf(rng.integers(0, 3, size=(2, 3, size, size)).astype(float))
         out = T.max_pool2d(x, window=window, stride=stride)
         g = rng.normal(size=out.shape)
         T.sum_all(T.mul_const(out, g)).backward()
         assert np.array_equal(x.grad, pool_add_at_reference(x.data, g, window, stride))
+
+    def test_max_pool_nan_propagates(self):
+        # NaN at the first, the last and a middle offset of three windows
+        x = np.arange(16.0).reshape(1, 1, 4, 4)
+        x[0, 0, 0, 0] = x[0, 0, 1, 3] = x[0, 0, 3, 0] = np.nan
+        out = T.max_pool2d(leaf(x, requires_grad=False), window=2, stride=2)
+        assert np.isnan(out.data[0, 0, :, 0]).all() and np.isnan(out.data[0, 0, 0, 1])
+        assert out.data[0, 0, 1, 1] == 15.0
+
+    def test_max_pool_tie_keeps_first_offset_bits(self):
+        # -0.0 == +0.0: the first offset of the window gives the output its sign
+        x = np.zeros((1, 2, 2, 2))
+        x[0, 0, 0, 0] = x[0, 1, 1, 1] = -0.0
+        out = T.max_pool2d(leaf(x, requires_grad=False), window=2, stride=2)
+        assert np.signbit(out.data).ravel().tolist() == [True, False]
+
+    def test_max_pool_eval_output_has_no_parents(self):
+        x = leaf(np.random.default_rng(4).normal(size=(2, 3, 4, 4)))
+        with T.no_grad():
+            out = T.max_pool2d(x, window=2, stride=2)
+        assert out._parents == () and out._backward is None and not out.requires_grad
 
     def test_global_avg_pool(self):
         x = leaf(np.arange(8.0).reshape(1, 2, 2, 2), requires_grad=False)
@@ -415,6 +448,20 @@ class TestGraph:
         y = T.sum_all(T.add(T.square(x), T.square(x)))
         y.backward()
         assert x.grad[0] == pytest.approx(8.0)
+
+    def test_add_parents_never_share_grad(self):
+        # add hands its output gradient to both parents; a later
+        # accumulation into one of them must not reach the other
+        rng = np.random.default_rng(12)
+        a, b = leaf(rng.normal(size=(3, 4))), leaf(rng.normal(size=(3, 4)))
+        c = rng.normal(size=(3, 4))
+        total = T.add(a, b)
+        loss = T.add(T.sum_all(T.mul_const(total, c)), T.sum_all(T.square(a)))
+        loss.backward()
+        for x, y in ((a, b), (a, total), (b, total)):
+            assert not np.shares_memory(x.grad, y.grad)
+        assert np.array_equal(total.grad, c) and np.array_equal(b.grad, c)
+        np.testing.assert_allclose(a.grad, c + 2.0 * a.data, rtol=1e-15)
 
     def test_backward_requires_scalar(self):
         x = leaf([1.0, 2.0])
