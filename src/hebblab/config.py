@@ -9,6 +9,7 @@ empty file is a valid configuration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 ARCHES = ("tiny_vgg", "mini_resnet")
@@ -89,6 +90,13 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 _TRAIN_FIELDS = {"epochs_phase1", "epochs_phase2", "batch_size", "lr_phase1",
                  "lr_phase2", "momentum", "weight_decay", "swa_start_epoch",
                  "swa_phase2", "early_stop_patience", "augment", "seed",
@@ -110,7 +118,7 @@ def _section_map() -> dict[str, dict[str, type]]:
     }
 
 
-_CASTS = {"int": int, "float": float, "bool": _parse_bool, "str": str}
+_CASTS = {"int": int, "float": _parse_float, "bool": _parse_bool, "str": str}
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> FullConfig:

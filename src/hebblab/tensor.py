@@ -22,15 +22,61 @@ columns from it by strided slab copies; only its input gradient gathers in
 NHWC, from the dilated output gradient.  Its forward matches the
 ``np.tensordot`` contraction bit for bit on every backbone shape, but not on
 every shape (see ``conv2d``).
+
+Memory: a training step allocates the same arrays every time and frees them
+all when its graph is dropped.  glibc returns freed memory to the kernel by
+two dynamic thresholds: an array above the mmap threshold gets its own
+mapping, unmapped on free, and the heap top is trimmed once its free space
+exceeds the trim threshold.  The next step then faults every page in again.
+At import this module fixes both thresholds far above any array a step or an
+eval batch frees (``_retain_freed_memory``), so freed arrays stay in the heap
+and the next step reuses them.  The price is that the process's resident set
+stays at its high-water mark instead of shrinking between steps.  Where
+glibc's ``mallopt`` is missing (macOS, Windows, musl) nothing changes.
+Because recycled heap memory is not zeroed, no op may read an array from
+``np.empty`` before writing it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+# Must exceed the largest array a step or an eval batch frees, or that array
+# is unmapped on free and faulted in again next time.  The largest today is
+# the padded conv2 input of a batch-256 eval (38 MB), above glibc's 32 MB
+# ceiling for its dynamic mmap threshold.
+_MALLOC_KEEP_BYTES = 1 << 30
+
+
+def _retain_freed_memory() -> bool:
+    """Fix glibc's mmap and trim thresholds at ``_MALLOC_KEEP_BYTES`` (see
+    the module docstring); True when both took.  Where glibc's ``mallopt``
+    is missing this does nothing and returns False.
+
+    The mmap threshold goes first and the trim threshold only if it took:
+    fixing the trim threshold alone also freezes the mmap threshold at its
+    128 kB default, which maps (and faults in) nearly every array anew.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no C library symbols, or no mallopt
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # glibc returns 1 on success; musl's mallopt is a no-op that returns 0
+    return (mallopt(_M_MMAP_THRESHOLD, _MALLOC_KEEP_BYTES) == 1
+            and mallopt(_M_TRIM_THRESHOLD, _MALLOC_KEEP_BYTES) == 1)
+
+
+_retain_freed_memory()
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 
@@ -770,6 +816,8 @@ def check_gradients(f: Callable[[], Tensor], params: Iterable[Tensor],
 
     ``f`` must rebuild the forward graph on every call and return a scalar;
     its output is perturbed through the ``params`` leaf tensors in place.
+    Only the first call is differentiated; the probe calls run under
+    ``no_grad``.
     Returns the maximum relative error max |a - n| / max(|a|, |n|, 1e-8).
 
     ``eps`` may be a sequence of step sizes: each element then only needs to
@@ -804,10 +852,11 @@ def check_gradients(f: Callable[[], Tensor], params: Iterable[Tensor],
             orig = flat[i]
             err = None
             for step in eps_values:
-                flat[i] = orig + step
-                f_plus = float(f().data)
-                flat[i] = orig - step
-                f_minus = float(f().data)
+                with no_grad():
+                    flat[i] = orig + step
+                    f_plus = float(f().data)
+                    flat[i] = orig - step
+                    f_minus = float(f().data)
                 flat[i] = orig
                 numeric = (f_plus - f_minus) / (2.0 * step)
                 this = abs(float(gflat[i]) - numeric) / max(abs(float(gflat[i])),

@@ -75,7 +75,8 @@ class TestBadLines:
         rejected_at("\n".join(lines), at + 1, f"duplicate key '{key}'")
 
     @settings(max_examples=40, deadline=None)
-    @given(data=st.data(), bad=st.sampled_from(["x", "1.5.2", "ten", "--"]))
+    @given(data=st.data(),
+           bad=st.sampled_from(["x", "1.5.2", "ten", "--", "nan", "-inf", "1e999"]))
     def test_badly_typed_value(self, data, bad):
         typed = [i for i in key_lines()
                  if type(default_of(BASE[i])) in (int, float, bool)]
@@ -83,6 +84,15 @@ class TestBadLines:
         key = BASE[i].partition("=")[0].strip()
         lines = BASE[:i] + [f"{key} = {bad}"] + BASE[i + 1:]
         rejected_at("\n".join(lines), i + 1, f"bad value for {key}")
+
+    @pytest.mark.parametrize("line", ["lambda_hebb1 = nan", "weight_decay = nan",
+                                      "noise = inf", "lambda_cons = inf",
+                                      "lr_phase1 = inf"])
+    def test_non_finite_float(self, line):
+        key = line.partition("=")[0].strip()
+        i = next(i for i in key_lines() if BASE[i].startswith(f"{key} ="))
+        lines = BASE[:i] + [line] + BASE[i + 1:]
+        rejected_at("\n".join(lines), i + 1, f"bad value for {key}: expected a finite")
 
 
 class TestCrossField:

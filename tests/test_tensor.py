@@ -542,6 +542,19 @@ class TestCheckGradients:
         e2 = T.check_gradients(build, [w], max_elements_per_param=5, seed=3)
         assert e1 == e2 < 1e-9
 
+    def test_only_the_analytic_call_records_a_graph(self):
+        w = leaf([3.0, -2.0])
+        recorded = []
+
+        def build():
+            out = T.sum_all(T.square(w))
+            recorded.append(out.requires_grad)
+            return out
+
+        assert T.check_gradients(build, [w], eps=(1e-5, 1e-6)) < 1e-9
+        assert recorded[0] and len(recorded) > 1 and not any(recorded[1:])
+        assert T.square(w).requires_grad  # no_grad ends with the probes
+
 
 class TestPrecisionSwitch:
     def test_default_dtype_context(self):
