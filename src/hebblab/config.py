@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, fields
 ARCHES = ("tiny_vgg", "mini_resnet")
 DATA_SOURCES = ("synthetic", "idx", "cifar10", "cifar100")
 PRECISIONS = ("float32", "float64")
-HEBB_STATS = ("mean", "max_per_map")
 IMAGE_SIZES = (16, 28, 32)
 # Data fields a file-backed source fixes: CIFAR records are 32x32 RGB with
 # 10 or 100 labels (the fine label for cifar100); IDX images are grayscale.
@@ -53,9 +52,6 @@ class TrainConfig:
     lambda_metric: float = 0.5
     lambda_cons: float = 1e-3
     margin: float = 1.0
-    hebb_activation_stat: str = "mean"
-    # analysis
-    haf_tau: float = 0.8
 
 
 @dataclass
@@ -102,8 +98,7 @@ _TRAIN_FIELDS = {"epochs_phase1", "epochs_phase2", "batch_size", "lr_phase1",
                  "swa_phase2", "early_stop_patience", "augment", "seed",
                  "precision"}
 _LOSS_FIELDS = {"lambda_hebb1", "lambda_hebb2", "lambda_metric", "lambda_cons",
-                "margin", "hebb_activation_stat"}
-_ANALYSIS_FIELDS = {"haf_tau"}
+                "margin"}
 
 
 def _section_map() -> dict[str, dict[str, type]]:
@@ -114,7 +109,6 @@ def _section_map() -> dict[str, dict[str, type]]:
         "data": data_types,
         "train": {k: train_types[k] for k in _TRAIN_FIELDS},
         "loss": {k: train_types[k] for k in _LOSS_FIELDS},
-        "analysis": {k: train_types[k] for k in _ANALYSIS_FIELDS},
     }
 
 
@@ -174,7 +168,7 @@ def _assign(cfg: FullConfig, section: str, key: str, value) -> None:
         cfg.arch = value
     elif section == "data":
         setattr(cfg.data, key, value)
-    else:  # train / loss / analysis all live on TrainConfig
+    else:  # train and loss both live on TrainConfig
         setattr(cfg.train, key, value)
 
 
@@ -215,10 +209,6 @@ def _validate(cfg: FullConfig, lines_of: dict[tuple[str, str], int],
             fail("loss", name, "must be >= 0")
     if not t.margin > 0:
         fail("loss", "margin", "must be > 0")
-    if t.hebb_activation_stat not in HEBB_STATS:
-        fail("loss", "hebb_activation_stat", f"must be one of {HEBB_STATS}")
-    if not 0.0 < t.haf_tau <= 1.0:
-        fail("analysis", "haf_tau", "must be in (0, 1]")
     if d.source not in DATA_SOURCES:
         fail("data", "source", f"must be one of {DATA_SOURCES}")
     if d.num_classes < 2:
@@ -269,11 +259,6 @@ def render_effective(cfg: FullConfig) -> str:
     out.append("[loss]")
     for f in fields(TrainConfig):
         if f.name in _LOSS_FIELDS:
-            out.append(f"{f.name} = {_format_value(getattr(cfg.train, f.name))}")
-    out.append("")
-    out.append("[analysis]")
-    for f in fields(TrainConfig):
-        if f.name in _ANALYSIS_FIELDS:
             out.append(f"{f.name} = {_format_value(getattr(cfg.train, f.name))}")
     out.append("")
     return "\n".join(out)

@@ -67,11 +67,9 @@ _BLOB_CENTERS = ((0.30, 0.30), (0.70, 0.70), (0.30, 0.70), (0.70, 0.30))
 _PATTERN_AMPLITUDE = 0.35
 
 
-def _class_pattern(kind_index: int, is_blob: bool, size: int,
+def _class_pattern(kind_index: int, is_blob: bool, u: np.ndarray, v: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:
-    u, v = np.meshgrid(np.linspace(0.0, 1.0, size, endpoint=False),
-                       np.linspace(0.0, 1.0, size, endpoint=False),
-                       indexing="ij")
+    """One image's pattern on the pixel grid ``u`` (rows), ``v`` (columns)."""
     if is_blob:
         cy, cx = _BLOB_CENTERS[kind_index % len(_BLOB_CENTERS)]
         sigma = 0.11 + 0.05 * (kind_index // len(_BLOB_CENTERS))
@@ -93,12 +91,15 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     total = spec.num_classes * spec.samples_per_class
     images = np.empty((total, channels, size, size), dtype=np.float32)
     labels = np.empty(total, dtype=np.int64)
+    u, v = np.meshgrid(np.linspace(0.0, 1.0, size, endpoint=False),
+                       np.linspace(0.0, 1.0, size, endpoint=False),
+                       indexing="ij")
     row = 0
     for cls in range(spec.num_classes):
         is_blob = cls % 2 == 1
         kind_index = cls // 2
         for _ in range(spec.samples_per_class):
-            pattern = _class_pattern(kind_index, is_blob, size, rng)
+            pattern = _class_pattern(kind_index, is_blob, u, v, rng)
             gains = 1.0 + 0.1 * rng.standard_normal(channels)
             img = 0.5 + _PATTERN_AMPLITUDE * gains[:, None, None] * pattern[None]
             if spec.noise > 0:

@@ -2,10 +2,12 @@
 
 The gate input is detached by design: the implemented theta-gradient is the
 gradient of the objective with the neuromodulator input held at its base
-value.  The closures here therefore freeze that input before probing, which
-is exactly the function whose true derivative the backward pass computes.
-Batch-norm running statistics are restored around every probe so repeated
-forward passes see identical state.
+value.  Each closure evaluates its phase loss once to read that base value
+(``LossBreakdown.gate_input``) and then passes it back as ``gate_input`` on
+every probe, which is exactly the function whose true derivative the
+backward pass computes.  The objectives themselves are defined only in
+``losses``.  Batch-norm running statistics are restored around every
+evaluation so repeated forward passes see identical state.
 """
 
 from __future__ import annotations
@@ -20,70 +22,35 @@ from . import tensor as T
 from .config import TrainConfig
 
 
-def phase1_closure(model: M.ModelState, nm: L.NeuromodulatorState,
-                   x: np.ndarray, labels: np.ndarray, config: TrainConfig):
-    """Closure computing the phase-1 objective with a frozen gate input."""
+def _frozen_gate(model: M.ModelState, loss):
+    """Closure over ``loss(gate_input)`` with the gate input fixed at the
+    value the unfrozen loss reads at the current parameters."""
     bn_snap = model.snapshot_bn()
-    taps = M.forward(model, x, "train")
-    base_ce = L.cross_entropy(taps.logits, labels).item()
+    gate = loss(None).gate_input
     model.restore_bn(bn_snap)
 
     def build():
         model.restore_bn(bn_snap)
-        taps = M.forward(model, x, "train")
-        ce = L.cross_entropy(taps.logits, labels)
-        hebb = L.hebbian_regularizer(taps.hebbian_activation, taps.hebbian_weight,
-                                     config.hebb_activation_stat)
-        nu = L.neuromodulator(nm, base_ce)
-        if config.lambda_hebb1 > 0:
-            return T.add(ce, T.scale(T.mul(nu, hebb), config.lambda_hebb1))
-        return ce
+        return loss(gate).total
 
     return build
 
 
-def phase2_closure(model: M.ModelState, nm: L.NeuromodulatorState,
+def phase1_closure(model: M.ModelState, nm: M.ParamSet,
+                   x: np.ndarray, labels: np.ndarray, config: TrainConfig):
+    """Closure computing the phase-1 objective with a frozen gate input."""
+    return _frozen_gate(model, lambda gate: L.phase1_loss(
+        M.forward(model, x, "train"), labels, nm, config, gate_input=gate))
+
+
+def phase2_closure(model: M.ModelState, nm: M.ParamSet,
                    x_a: np.ndarray, x_b: np.ndarray, labels_a: np.ndarray,
                    labels_b: np.ndarray, frozen: dict[str, np.ndarray],
                    config: TrainConfig):
     """Closure computing the phase-2 objective with a frozen gate input."""
-    bn_snap = model.snapshot_bn()
-    taps_a = M.forward(model, x_a, "train")
-    taps_b = M.forward(model, x_b, "train")
-    base_gate = 0.5 * (L.cross_entropy(taps_a.logits, labels_a).item()
-                       + L.cross_entropy(taps_b.logits, labels_b).item())
-    model.restore_bn(bn_snap)
-    same = np.asarray(labels_a) == np.asarray(labels_b)
-
-    def build():
-        model.restore_bn(bn_snap)
-        taps_a = M.forward(model, x_a, "train")
-        taps_b = M.forward(model, x_b, "train")
-        total = T.add(L.cross_entropy(taps_a.logits, labels_a),
-                      L.cross_entropy(taps_b.logits, labels_b))
-        if config.lambda_metric > 0:
-            metric = L.pairwise_margin_loss(taps_a.embedding, taps_b.embedding,
-                                            same, config.margin)
-            total = T.add(total, T.scale(metric, config.lambda_metric))
-        gated = None
-        if config.lambda_cons > 0:
-            gated = T.scale(L.consolidation_penalty(model.params, frozen),
-                            config.lambda_cons)
-        if config.lambda_hebb2 > 0:
-            hebb = T.scale(T.add(
-                L.hebbian_regularizer(taps_a.hebbian_activation,
-                                      taps_a.hebbian_weight,
-                                      config.hebb_activation_stat),
-                L.hebbian_regularizer(taps_b.hebbian_activation,
-                                      taps_b.hebbian_weight,
-                                      config.hebb_activation_stat)), 0.5)
-            weighted = T.scale(hebb, config.lambda_hebb2)
-            gated = weighted if gated is None else T.add(gated, weighted)
-        if gated is not None:
-            total = T.add(total, T.mul(L.neuromodulator(nm, base_gate), gated))
-        return total
-
-    return build
+    return _frozen_gate(model, lambda gate: L.phase2_loss(
+        M.forward(model, x_a, "train"), M.forward(model, x_b, "train"),
+        labels_a, labels_b, model, frozen, nm, config, gate_input=gate))
 
 
 @dataclass

@@ -1,12 +1,19 @@
 """Objective terms of the two-phase training method and their composition.
 
-Phase 1:  CE + lambda_hebb1 * nu(CE) * R_hebb
+Phase 1:  CE + lambda_hebb1 * nu(g) * R_hebb,                    g = CE
 Phase 2:  CE_A + CE_B + lambda_metric * L_metric
-          + nu(mean CE) * (lambda_cons * ||theta - theta_frozen||^2
-                           + lambda_hebb2 * (R_hebb_A + R_hebb_B) / 2)
+          + nu(g) * (lambda_cons * ||theta - theta_frozen||^2
+                     + lambda_hebb2 * (R_hebb_A + R_hebb_B) / 2),  g = (CE_A + CE_B) / 2
 
-The gate input is the detached scalar CE value: nu modulates theta only
+R_hebb aligns the spatial mean of each filter's post-ReLU activation with
+the mean of its kernel weights, as the paper's abstract states.
+
+The gate input g is a detached float: nu modulates theta only
 multiplicatively, while phi (the gating MLP) receives gradients through nu.
+``phase1_loss`` and ``phase2_loss`` are the only definitions of the two
+objectives.  Their ``gate_input`` argument replaces g by a given value; only
+finite-difference verification (``gradcheck``) sets it, to hold g fixed
+while theta is probed.  ``LossBreakdown.gate_input`` is the g nu read.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import TrainConfig
-from .models import ForwardTaps, ModelState
+from .models import ForwardTaps, ModelState, ParamSet
 from .tensor import Tensor
 
 NM_HIDDEN = 8
@@ -26,28 +33,8 @@ NM_HIDDEN = 8
 NU_FLOOR = 1e-6
 
 
-@dataclass
-class NeuromodulatorState:
+def build_neuromodulator(seed: int = 0) -> ParamSet:
     """Parameters of the gating MLP: 1 input -> 8 ReLU units -> 1 sigmoid."""
-
-    params: dict[str, Tensor]
-
-    def snapshot_params(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.params.items()}
-
-    def load_params(self, arrays: dict[str, np.ndarray]) -> None:
-        if set(arrays) != set(self.params):
-            raise ValueError("neuromodulator parameter-set mismatch")
-        for name, p in self.params.items():
-            p.data = arrays[name].astype(p.data.dtype)
-            p.grad = None
-
-    def zero_grads(self) -> None:
-        for p in self.params.values():
-            p.grad = None
-
-
-def build_neuromodulator(seed: int = 0) -> NeuromodulatorState:
     rng = np.random.default_rng(seed)
     b1 = np.sqrt(6.0 / 1.0)
     b2 = np.sqrt(6.0 / NM_HIDDEN)
@@ -57,11 +44,11 @@ def build_neuromodulator(seed: int = 0) -> NeuromodulatorState:
         "w2": T.Tensor(rng.uniform(-b2, b2, size=(NM_HIDDEN, 1)), requires_grad=True),
         "b2": T.Tensor(np.zeros(1), requires_grad=True),
     }
-    return NeuromodulatorState(params=params)
+    return ParamSet(params=params)
 
 
-def neuromodulator(state: NeuromodulatorState, ce_value: float) -> Tensor:
-    """Gate nu in (0, 1) from the detached scalar cross-entropy value."""
+def neuromodulator(state: ParamSet, ce_value: float) -> Tensor:
+    """Gate nu in (0, 1) from the detached scalar gate input (a CE value)."""
     if not np.isfinite(ce_value):
         raise ValueError(f"neuromodulator input must be finite, got {ce_value}")
     p = state.params
@@ -84,26 +71,16 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return T.scale(T.mean_all(picked), -1.0)
 
 
-def hebbian_regularizer(activation: Tensor, weight: Tensor,
-                        stat: str = "mean") -> Tensor:
-    """Mean over filters of (mean activation - mean kernel weight)^2.
-
-    ``stat`` selects the activation statistic: "mean" averages the post-ReLU
-    map over batch and space; "max_per_map" averages the per-image spatial
-    maxima instead (the alternative reading, kept behind this switch).
-    """
+def hebbian_regularizer(activation: Tensor, weight: Tensor) -> Tensor:
+    """Mean over filters of (mean activation - mean kernel weight)^2; the
+    activation is averaged over batch and space."""
     if activation.data.ndim != 4 or weight.data.ndim != 4:
         raise ValueError("hebbian_regularizer: expected rank-4 activation and weight")
     if activation.shape[1] != weight.shape[0]:
         raise ValueError(
             f"hebbian_regularizer: activation has {activation.shape[1]} channels "
             f"but weight has {weight.shape[0]} filters")
-    if stat == "mean":
-        abar = T.mean_axes(activation, (0, 2, 3))
-    elif stat == "max_per_map":
-        abar = T.mean_axes(T.spatial_max(activation), (0,))
-    else:
-        raise ValueError(f"unknown activation statistic {stat!r}")
+    abar = T.mean_axes(activation, (0, 2, 3))
     wbar = T.mean_axes(weight, (1, 2, 3))
     return T.mean_all(T.square(T.sub(abar, wbar)))
 
@@ -159,6 +136,7 @@ class LossBreakdown:
     ce: float
     hebbian: float
     nu: float
+    gate_input: float
     metric: float = 0.0
     consolidation: float = 0.0
     hebbian_weighted: float = 0.0
@@ -168,15 +146,15 @@ class LossBreakdown:
     ce_b: float = 0.0
 
 
-def phase1_loss(taps: ForwardTaps, labels, nm: NeuromodulatorState,
-                config: TrainConfig) -> LossBreakdown:
+def phase1_loss(taps: ForwardTaps, labels, nm: ParamSet, config: TrainConfig,
+                gate_input: float | None = None) -> LossBreakdown:
     """CE plus the gated Hebbian term; reduces to plain CE when the
     coefficient is zero (the gated branch is not graphed at all then)."""
     ce = cross_entropy(taps.logits, labels)
     ce_val = ce.item()
-    hebb = hebbian_regularizer(taps.hebbian_activation, taps.hebbian_weight,
-                               config.hebb_activation_stat)
-    nu = neuromodulator(nm, ce_val)
+    hebb = hebbian_regularizer(taps.hebbian_activation, taps.hebbian_weight)
+    gate = ce_val if gate_input is None else gate_input
+    nu = neuromodulator(nm, gate)
     lam = config.lambda_hebb1
     if lam > 0:
         total = T.add(ce, T.scale(T.mul(nu, hebb), lam))
@@ -184,12 +162,13 @@ def phase1_loss(taps: ForwardTaps, labels, nm: NeuromodulatorState,
         total = ce
     hebb_val, nu_val = hebb.item(), nu.item()
     return LossBreakdown(total=total, ce=ce_val, hebbian=hebb_val, nu=nu_val,
-                         hebbian_weighted=lam * nu_val * hebb_val)
+                         gate_input=gate, hebbian_weighted=lam * nu_val * hebb_val)
 
 
 def phase2_loss(taps_a: ForwardTaps, taps_b: ForwardTaps, labels_a, labels_b,
                 model: ModelState, frozen: dict[str, np.ndarray],
-                nm: NeuromodulatorState, config: TrainConfig) -> LossBreakdown:
+                nm: ParamSet, config: TrainConfig,
+                gate_input: float | None = None) -> LossBreakdown:
     """Pairwise fine-tuning objective; the gate is evaluated on the mean of
     the two CE values and scales consolidation plus continued Hebbian."""
     labels_a = np.asarray(labels_a)
@@ -199,12 +178,12 @@ def phase2_loss(taps_a: ForwardTaps, taps_b: ForwardTaps, labels_a, labels_b,
     metric = pairwise_margin_loss(taps_a.embedding, taps_b.embedding,
                                   labels_a == labels_b, config.margin)
     hebb = T.scale(T.add(
-        hebbian_regularizer(taps_a.hebbian_activation, taps_a.hebbian_weight,
-                            config.hebb_activation_stat),
-        hebbian_regularizer(taps_b.hebbian_activation, taps_b.hebbian_weight,
-                            config.hebb_activation_stat)), 0.5)
+        hebbian_regularizer(taps_a.hebbian_activation, taps_a.hebbian_weight),
+        hebbian_regularizer(taps_b.hebbian_activation, taps_b.hebbian_weight)), 0.5)
     cons = consolidation_penalty(model.params, frozen)
-    nu = neuromodulator(nm, 0.5 * (ce_a.item() + ce_b.item()))
+    ce_a_val, ce_b_val = ce_a.item(), ce_b.item()
+    gate = 0.5 * (ce_a_val + ce_b_val) if gate_input is None else gate_input
+    nu = neuromodulator(nm, gate)
 
     total = T.add(ce_a, ce_b)
     if config.lambda_metric > 0:
@@ -218,12 +197,12 @@ def phase2_loss(taps_a: ForwardTaps, taps_b: ForwardTaps, labels_a, labels_b,
     if gated is not None:
         total = T.add(total, T.mul(nu, gated))
 
-    ce_a_val, ce_b_val = ce_a.item(), ce_b.item()
     hebb_val, cons_val, metric_val, nu_val = (hebb.item(), cons.item(),
                                               metric.item(), nu.item())
     return LossBreakdown(
         total=total, ce=ce_a_val + ce_b_val, ce_a=ce_a_val, ce_b=ce_b_val,
-        hebbian=hebb_val, nu=nu_val, metric=metric_val, consolidation=cons_val,
+        hebbian=hebb_val, nu=nu_val, gate_input=gate, metric=metric_val,
+        consolidation=cons_val,
         hebbian_weighted=nu_val * config.lambda_hebb2 * hebb_val,
         metric_weighted=config.lambda_metric * metric_val,
         consolidation_weighted=nu_val * config.lambda_cons * cons_val)

@@ -31,15 +31,10 @@ class ForwardTaps:
 
 
 @dataclass
-class ModelState:
-    arch: str
-    num_classes: int
-    input_channels: int
-    input_size: int
+class ParamSet:
+    """Named leaf tensors in a fixed order (a model's theta, the gate's phi)."""
+
     params: dict[str, Tensor]
-    bn: dict[str, BatchNormStats] = field(default_factory=dict)
-    hebbian_layer: str = ""
-    embedding_layer: str = "embed"
 
     def parameter_count(self) -> int:
         return sum(p.data.size for p in self.params.values())
@@ -48,14 +43,30 @@ class ModelState:
         return {name: p.data.copy() for name, p in self.params.items()}
 
     def load_params(self, arrays: dict[str, np.ndarray]) -> None:
+        """Replace every parameter; a name or shape mismatch changes none."""
         if set(arrays) != set(self.params):
             raise ValueError("parameter-set mismatch when loading arrays")
         for name, p in self.params.items():
             if arrays[name].shape != p.data.shape:
                 raise ValueError(f"shape mismatch for {name}: "
                                  f"{arrays[name].shape} vs {p.data.shape}")
+        for name, p in self.params.items():
             p.data = arrays[name].astype(p.data.dtype)
             p.grad = None
+
+    def zero_grads(self) -> None:
+        for p in self.params.values():
+            p.grad = None
+
+
+@dataclass(kw_only=True)
+class ModelState(ParamSet):
+    arch: str
+    num_classes: int
+    input_channels: int
+    input_size: int
+    bn: dict[str, BatchNormStats] = field(default_factory=dict)
+    hebbian_layer: str = ""
 
     def snapshot_bn(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         return {name: s.snapshot() for name, s in self.bn.items()}
@@ -63,13 +74,6 @@ class ModelState:
     def restore_bn(self, snap: dict[str, tuple[np.ndarray, np.ndarray]]) -> None:
         for name, s in self.bn.items():
             s.restore(snap[name])
-
-    def zero_grads(self) -> None:
-        for p in self.params.values():
-            p.grad = None
-
-    def forward(self, batch, mode: str = "eval") -> ForwardTaps:
-        return forward(self, batch, mode)
 
 
 def _kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...],

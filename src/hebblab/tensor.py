@@ -429,26 +429,6 @@ def mean_axes(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     return out
 
 
-def spatial_max(a: Tensor) -> Tensor:
-    """Max over the two trailing spatial axes of an [N, C, H, W] tensor.
-
-    Gradient routes to the first maximal position per (n, c) map.
-    """
-    _require(a.data.ndim == 4, f"spatial_max: expected rank-4 input, got {a.shape}")
-    n, c, h, w = a.data.shape
-    flat = a.data.reshape(n, c, h * w)
-    idx = flat.argmax(axis=2)
-    out_data = np.take_along_axis(flat, idx[:, :, None], axis=2)[:, :, 0]
-    out = _node(_checked(out_data, "spatial_max"), (a,))
-    if out.requires_grad:
-        def bwd(g):
-            gflat = np.zeros((n, c, h * w), dtype=a.data.dtype)
-            np.put_along_axis(gflat, idx[:, :, None], g[:, :, None], axis=2)
-            _accum(a, gflat.reshape(n, c, h, w), owned=True)
-        out._backward = bwd
-    return out
-
-
 # ---------------------------------------------------------------------------
 # affine / convolutional layers
 # ---------------------------------------------------------------------------

@@ -52,18 +52,26 @@ class TestRoundTrip:
             data=DataConfig(source="cifar10", num_classes=10, image_size=32,
                             train_images="a.bin,b.bin", test_images="t.bin"),
             train=TrainConfig(epochs_phase1=3, swa_start_epoch=2, lr_phase1=0.1 / 3,
-                              augment=False, precision="float64", margin=0.7,
-                              hebb_activation_stat="max_per_map", haf_tau=0.25))
+                              augment=False, precision="float64", margin=0.7))
         assert parse_config_text(render_effective(cfg)) == cfg
 
 
 class TestBadLines:
     @settings(max_examples=40, deadline=None)
-    @given(data=st.data(), key=st.from_regex(r"\Azz[a-z_]{0,8}\Z"))
-    def test_unknown_key(self, data, key):
-        at = data.draw(st.integers(1, len(BASE)))  # after the first header
-        lines = BASE[:at] + [f"{key} = 1"] + BASE[at:]
-        rejected_at("\n".join(lines), at + 1, f"unknown key '{key}'")
+    @given(data=st.data(), line=st.one_of(
+        st.from_regex(r"\Azz[a-z_]{0,8}\Z").map(lambda key: f"{key} = 1"),
+        # a loss option and a section the format no longer has
+        st.sampled_from(["hebb_activation_stat = mean", "[analysis]"])))
+    def test_unknown_key(self, data, line):
+        # a removed line goes under [loss], the last section
+        first = 1 if line.startswith("zz") else BASE.index("[loss]") + 1
+        at = data.draw(st.integers(first, len(BASE)))
+        lines = BASE[:at] + [line] + BASE[at:]
+        key = line.partition("=")[0].strip()
+        match = {"[analysis]": r"unknown section \[analysis\]",
+                 "hebb_activation_stat": r"unknown key 'hebb_activation_stat' in \[loss\]",
+                 }.get(key, f"unknown key '{key}'")
+        rejected_at("\n".join(lines), at + 1, match)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

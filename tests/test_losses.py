@@ -113,20 +113,6 @@ class TestHebbianRegularizer:
 
         assert T.check_gradients(build, [act, w]) < 1e-5
 
-    def test_max_per_map_statistic(self):
-        rng = np.random.default_rng(3)
-        act = rng.random(size=(3, 2, 4, 4))
-        w = rng.normal(size=(2, 1, 3, 3))
-        value = L.hebbian_regularizer(leaf(act), leaf(w), stat="max_per_map").item()
-        abar = act.max(axis=(2, 3)).mean(axis=0)
-        wbar = w.mean(axis=(1, 2, 3))
-        assert value == pytest.approx(float(np.mean((abar - wbar) ** 2)), abs=1e-12)
-
-    def test_rejects_unknown_stat(self):
-        with pytest.raises(ValueError, match="statistic"):
-            L.hebbian_regularizer(leaf(np.zeros((1, 1, 2, 2))),
-                                  leaf(np.zeros((1, 1, 3, 3))), stat="median")
-
 
 class TestNeuromodulator:
     def test_zero_parameters_give_half(self):
@@ -310,6 +296,28 @@ class TestPhase1Loss:
         manual.backward()
         assert np.allclose(got, taps.logits.grad, rtol=1e-12, atol=1e-12)
 
+    def test_gate_input_defaults_to_ce(self):
+        rng = np.random.default_rng(13)
+        taps = self._random_taps(rng)
+        labels = rng.integers(0, 5, size=4)
+        nm, cfg = L.build_neuromodulator(seed=13), TrainConfig(lambda_hebb1=0.3)
+        out = L.phase1_loss(taps, labels, nm, cfg)
+        assert out.gate_input == out.ce
+        explicit = L.phase1_loss(taps, labels, nm, cfg, gate_input=out.gate_input)
+        assert explicit.total.item() == out.total.item()
+
+    def test_gate_input_override_moves_only_nu(self):
+        rng = np.random.default_rng(14)
+        taps = self._random_taps(rng)
+        labels = rng.integers(0, 5, size=4)
+        nm, cfg = L.build_neuromodulator(seed=14), TrainConfig(lambda_hebb1=0.3)
+        out = L.phase1_loss(taps, labels, nm, cfg)
+        g = out.gate_input + 2.0
+        moved = L.phase1_loss(taps, labels, nm, cfg, gate_input=g)
+        assert moved.gate_input == g
+        assert moved.nu == L.neuromodulator(nm, g).item() != out.nu
+        assert (moved.ce, moved.hebbian) == (out.ce, out.hebbian)
+
 
 class TestPhase2Loss:
     def _setup(self, seed=13, lambda_metric=0.5, lambda_cons=1e-3,
@@ -370,6 +378,28 @@ class TestPhase2Loss:
         ab = L.phase2_loss(ta, tb, la, lb, model, frozen, nm, cfg)
         ba = L.phase2_loss(tb, ta, lb, la, model, frozen, nm, cfg)
         assert ab.total.item() == pytest.approx(ba.total.item(), rel=1e-12)
+
+    def test_gate_input_defaults_to_mean_ce(self):
+        model, nm, frozen, cfg, xa, xb, la, lb = self._setup()
+        ta = M.forward(model, xa, "eval")
+        tb = M.forward(model, xb, "eval")
+        out = L.phase2_loss(ta, tb, la, lb, model, frozen, nm, cfg)
+        assert out.gate_input == 0.5 * (out.ce_a + out.ce_b)
+        explicit = L.phase2_loss(ta, tb, la, lb, model, frozen, nm, cfg,
+                                 gate_input=out.gate_input)
+        assert explicit.total.item() == out.total.item()
+
+    def test_gate_input_override_moves_only_nu(self):
+        model, nm, frozen, cfg, xa, xb, la, lb = self._setup()
+        ta = M.forward(model, xa, "eval")
+        tb = M.forward(model, xb, "eval")
+        out = L.phase2_loss(ta, tb, la, lb, model, frozen, nm, cfg)
+        g = out.gate_input + 2.0
+        moved = L.phase2_loss(ta, tb, la, lb, model, frozen, nm, cfg, gate_input=g)
+        assert moved.gate_input == g
+        assert moved.nu == L.neuromodulator(nm, g).item() != out.nu
+        assert ((moved.ce, moved.hebbian, moved.metric)
+                == (out.ce, out.hebbian, out.metric))
 
     def test_gradient_matches_fd_one_pair(self):
         model, nm, frozen, cfg, xa, xb, la, lb = self._setup(seed=14)

@@ -144,16 +144,27 @@ class TestForwardModes:
         assert any(not np.array_equal(model.bn[k].running_mean, before[k][0])
                    for k in model.bn)
 
-    def test_snapshot_roundtrip(self):
-        model = M.build_tiny_vgg(num_classes=4, input_size=16, seed=3)
-        snap = model.snapshot_params()
-        model.params["conv1_w"].data += 1.0
-        model.load_params(snap)
-        assert np.array_equal(model.params["conv1_w"].data, snap["conv1_w"])
+    @pytest.mark.parametrize("build", [
+        lambda: M.build_tiny_vgg(num_classes=4, input_size=16, seed=3),
+        lambda: L.build_neuromodulator(seed=3),
+    ], ids=["backbone", "neuromodulator"])
+    def test_snapshot_roundtrip(self, build):
+        state = build()
+        first, last = list(state.params)[0], list(state.params)[-1]
+        snap = state.snapshot_params()
+        state.params[first].data += 1.0
+        state.load_params(snap)
+        assert np.array_equal(state.params[first].data, snap[first])
         bad = dict(snap)
-        bad.pop("conv1_w")
+        bad.pop(first)
         with pytest.raises(ValueError, match="mismatch"):
-            model.load_params(bad)
+            state.load_params(bad)
+        # a wrong shape is refused before any parameter is replaced
+        bad = {name: a + 1.0 for name, a in snap.items()}
+        bad[last] = np.zeros((3, 3))
+        with pytest.raises(ValueError, match=f"shape mismatch for {last}"):
+            state.load_params(bad)
+        assert np.array_equal(state.params[first].data, snap[first])
 
     def test_build_model_dispatch(self):
         assert M.build_model("tiny_vgg", 4, input_size=16).arch == "tiny_vgg"

@@ -75,16 +75,6 @@ class TestElementwise:
 
         assert fd_check(build, [a]) < 1e-8
 
-    def test_spatial_max_forward_and_gradient(self):
-        a = leaf([[[[1.0, 5.0], [2.0, 3.0]], [[7.0, 7.0], [0.0, 1.0]]]])
-        out = T.spatial_max(a)
-        assert np.array_equal(out.data, [[5.0, 7.0]])
-        T.sum_all(out).backward()
-        expected = np.zeros((1, 2, 2, 2))
-        expected[0, 0, 0, 1] = 1.0
-        expected[0, 1, 0, 0] = 1.0  # first max wins the tie
-        assert np.array_equal(a.grad, expected)
-
 
 class TestDense:
     def test_identity(self):
