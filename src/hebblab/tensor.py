@@ -17,17 +17,24 @@ need (masks, closures, kept inputs) outlives the op.  Eval-mode forwards
 run this way.
 
 Layout: every op takes and returns NCHW arrays, and works on them in NCHW.
-``conv2d`` keeps one zero-padded NCHW copy of its input and builds im2col
-columns from it by strided slab copies; only its input gradient gathers in
-NHWC, from the dilated output gradient.  Its forward matches the
-``np.tensordot`` contraction bit for bit on every backbone shape, but not on
-every shape (see ``conv2d``).
+``conv2d`` zero-pads a block of images at a time into one reused buffer and
+builds im2col columns from it by strided slab copies; only its input
+gradient gathers in NHWC, from the dilated output gradient, also a block at
+a time.  Its forward matches the ``np.tensordot`` contraction bit for bit on
+every backbone shape, but not on every shape (see ``conv2d``).
 
-Memory: a training step allocates the same arrays every time and frees them
-all when its graph is dropped.  glibc returns freed memory to the kernel by
-two dynamic thresholds: an array above the mmap threshold gets its own
-mapping, unmapped on free, and the heap top is trimmed once its free space
-exceeds the trim threshold.  The next step then faults every page in again.
+Memory: ``Tensor.backward`` releases each interior node once its closure has
+run, dropping the node's gradient, its parents and its closure with what the
+closure kept (masks, inputs).  So an interior gradient lives only until the
+ops that read it have passed it on, and an activation only until the last
+closure that kept it has run, unless the caller holds it.  Leaves keep their
+``.grad``; a second backward through a released graph raises.
+
+A training step allocates the same arrays every time and frees them during
+its backward or when the caller drops its outputs.  glibc returns freed
+memory to the kernel by two dynamic thresholds: an array above the mmap
+threshold gets its own mapping, unmapped on free, and the heap top is
+trimmed once its free space exceeds the trim threshold.  The next step then faults every page in again.
 At import this module fixes both thresholds far above any array a step or an
 eval batch frees (``_retain_freed_memory``), so freed arrays stay in the heap
 and the next step reuses them.  The price is that the process's resident set
@@ -41,7 +48,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import math
+import numbers
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -51,8 +58,8 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 # Must exceed the largest array a step or an eval batch frees, or that array
 # is unmapped on free and faulted in again next time.  The largest today is
-# the padded conv2 input of a batch-256 eval (38 MB), above glibc's 32 MB
-# ceiling for its dynamic mmap threshold.
+# a conv1 or conv2 output of a batch-256 eval (32 MiB), which glibc maps even
+# at the 32 MiB ceiling of its dynamic mmap threshold.
 _MALLOC_KEEP_BYTES = 1 << 30
 
 
@@ -143,7 +150,8 @@ class Tensor:
     Leaf tensors are created directly (``Tensor(data, requires_grad=True)``
     for parameters); interior nodes are created by the ops in this module.
     Tensors are treated as immutable once produced; the only in-place
-    mutation is gradient accumulation during ``backward``.
+    mutations are gradient accumulation and the release of interior nodes
+    during ``backward``.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -166,14 +174,27 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Backpropagate from a scalar output through the recorded graph."""
+        """Backpropagate from a scalar output through the recorded graph.
+
+        Leaves accumulate into ``.grad`` and keep it.  Every interior node,
+        this one included, is released as soon as its closure has run: its
+        ``.grad``, its parents and its closure (with the masks and inputs
+        the closure kept) are dropped, so a gradient lives only until the
+        ops that read it have passed it on.  A second ``backward()`` through
+        a released node raises ``RuntimeError``; build the forward again.
+        """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar output, got shape {self.shape}")
         order = _topo_order(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is not None:
-                node._backward(node.grad)
+        while order:
+            # popped, so a released node is freed once nothing else holds it
+            node = order.pop()
+            closure, grad = node._backward, node.grad
+            if closure is None:
+                continue
+            node.grad, node._parents, node._backward = None, (), _released
+            closure(grad)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -197,6 +218,12 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             if id(parent) not in visited:
                 stack.append((parent, False))
     return order
+
+
+def _released(g: np.ndarray) -> None:
+    """The closure of an interior node that ``backward`` has released."""
+    raise RuntimeError("backward() through a graph that was already backpropagated; "
+                       "its interior nodes were released, so build the forward again")
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor]) -> Tensor:
@@ -498,35 +525,34 @@ def _columns(xp: np.ndarray, k: int, stride: int, h_out: int, w_out: int) -> np.
     return cols.reshape(c_in * k * k, nb * h_out * w_out)
 
 
-def _column_gemm(win: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """``win.reshape(-1, mat.shape[0]) @ mat`` for a window view whose first
-    axis is the image, gathering the columns of a block of images at a time.
+def _framed_blocks(src: np.ndarray, step: int, frame: tuple[int, ...],
+                   inner: tuple[slice, ...]):
+    """Yield ``(i, block)`` for each block of ``step`` images of ``src``
+    (first axis), starting at image ``i``: the images written at ``inner``
+    into a zero frame of per-image shape ``frame``.
 
-    A GEMM reduces each output element along the shared axis in an order
-    that does not depend on the row count, so blocking by rows changes no
-    value (the tests pin this); it only bounds the memory of the column
-    matrix.
+    Every block is the same buffer, so its zeros are written once and a
+    consumer must be done with one block before it takes the next.
     """
-    n, per_image = win.shape[0], math.prod(win.shape[1:])
-    rows_per_image = per_image // mat.shape[0]
-    out = np.empty((n * rows_per_image, mat.shape[1]), dtype=mat.dtype)
-    step = _images_per_block(per_image, mat.itemsize)
+    n = src.shape[0]
+    buf = np.zeros((min(step, n), *frame), dtype=src.dtype)
     for i in range(0, n, step):
-        np.matmul(win[i:i + step].reshape(-1, mat.shape[0]), mat,
-                  out=out[i * rows_per_image:(i + step) * rows_per_image])
-    return out
+        block = buf[:min(step, n - i)]
+        block[(slice(None), *inner)] = src[i:i + step]
+        yield i, block
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
            padding: int = 0) -> Tensor:
     """Cross-correlation of [N, C_in, H, W] with [C_out, C_in, K, K] filters.
 
-    im2col: the input is copied once, zero-padded, in NCHW, and the backward
-    closure keeps that copy.  The forward and the weight gradient build
-    (C_in, K, K)-ordered columns from it a block of images at a time, by
-    K * K strided slab copies (``_columns``).  The forward is
-    ``cols.T @ w.T`` per block: the contraction of ``np.tensordot`` over
-    NCHW windows, with BLAS given the transposed operand.  It equals
+    im2col, a block of images at a time: the forward and the weight gradient
+    zero-pad each block into one reused NCHW buffer (``_framed_blocks``) and
+    build (C_in, K, K)-ordered columns from it by K * K strided slab copies
+    (``_columns``).  The backward closure keeps the input itself, not a
+    padded copy.  The forward is ``cols.T @ w.T`` per block: the contraction
+    of ``np.tensordot`` over NCHW windows, with BLAS given the transposed
+    operand; each block's rows go straight into the NCHW output.  It equals
     ``np.tensordot`` bit for bit on every backbone shape and every test
     shape, but that is a property of the BLAS kernels, not of the formula:
     at (N, C_in, H, C_out) = (3, 5, 7, 6), K = 3, padding 1, most outputs
@@ -534,7 +560,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
     4e-16 at float64).  The weight gradient sums ``cols @ g`` over the
     blocks.  The input gradient is the full correlation of the
     stride-dilated output gradient with the flipped kernel, gathered in NHWC
-    (the only NHWC array here), so no K x K scatter is needed.  ``b=None``
+    (the only NHWC arrays here), so no K x K scatter is needed; it too runs
+    a block of images at a time.  No whole-batch array is made besides the
+    output and the input gradient.  A GEMM reduces each output element in
+    an order that does not depend on its row count, so the blocks change no
+    forward value and no input gradient (the tests pin this).  ``b=None``
     adds no bias.
     """
     _require(x.data.ndim == 4, f"conv2d: expected rank-4 input, got {x.shape}")
@@ -554,18 +584,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
             f"conv2d: output size not a positive integer for input {x.shape}, "
             f"kernel {k}, stride {stride}, padding {padding}")
     h_out, w_out = span_h // stride + 1, span_w // stride + 1
-    hw = h_out * w_out
-    step = _images_per_block(c_in * k * k * hw, x.data.itemsize)
+    x_data = x.data
+    step = _images_per_block(c_in * k * k * h_out * w_out, x_data.itemsize)
 
-    xp = np.zeros((n, c_in, h + 2 * padding, wdt + 2 * padding), dtype=x.data.dtype)
-    xp[:, :, padding:padding + h, padding:padding + wdt] = x.data
+    def padded_blocks():
+        return _framed_blocks(x_data, step, (c_in, h + 2 * padding, wdt + 2 * padding),
+                              (slice(None), slice(padding, padding + h),
+                               slice(padding, padding + wdt)))
+
     w_cols = w.data.reshape(c_out, -1).T
-    out_rows = np.empty((n * hw, c_out), dtype=x.data.dtype)
-    for i in range(0, n, step):
-        np.matmul(_columns(xp[i:i + step], k, stride, h_out, w_out).T, w_cols,
-                  out=out_rows[i * hw:(i + step) * hw])
-    out_data = np.ascontiguousarray(
-        out_rows.reshape(n, h_out, w_out, c_out).transpose(0, 3, 1, 2))
+    out_data = np.empty((n, c_out, h_out, w_out), dtype=x_data.dtype)
+    for i, xp in padded_blocks():
+        rows = _columns(xp, k, stride, h_out, w_out).T @ w_cols
+        out_data[i:i + len(xp)] = rows.reshape(-1, h_out, w_out, c_out).transpose(0, 3, 1, 2)
     if b is not None:
         out_data += b.data[None, :, None, None]
     parents = (x, w) if b is None else (x, w, b)
@@ -574,14 +605,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
     if out.requires_grad:
         w_data = w.data
         def bwd(g):
-            g_rows = g.transpose(0, 2, 3, 1).reshape(n * hw, c_out)
+            g_nhwc = g.transpose(0, 2, 3, 1)
             if w.requires_grad:
                 # summed over the blocks as [C_in * K * K, C_out]: that GEMM
                 # layout runs faster than its transpose
                 dw = np.zeros((c_in * k * k, c_out), dtype=g.dtype)
-                for i in range(0, n, step):
-                    dw += _columns(xp[i:i + step], k, stride, h_out, w_out) \
-                        @ g_rows[i * hw:(i + step) * hw]
+                for i, xp in padded_blocks():
+                    dw += _columns(xp, k, stride, h_out, w_out) \
+                        @ g_nhwc[i:i + len(xp)].reshape(-1, c_out)
                 _accum(w, np.ascontiguousarray(dw.T).reshape(w_data.shape), owned=True)
             if b is not None and b.requires_grad:
                 _accum(b, g.sum(axis=(0, 2, 3)), owned=True)
@@ -591,16 +622,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
                 # in padded-input coordinates, so the window starting at y
                 # covers every output that read input row y; only windows
                 # starting inside the unpadded input are gathered.
-                gd = np.zeros((n, span_h + 2 * k - 1, span_w + 2 * k - 1, c_out),
-                              dtype=g.dtype)
-                gd[:, k - 1:k - 1 + span_h + 1:stride,
-                   k - 1:k - 1 + span_w + 1:stride] = g_rows.reshape(n, h_out, w_out, c_out)
-                win = _windows(gd, k, 1, (1, 2))[:, padding:padding + h,
-                                                 padding:padding + wdt]
                 w_flip = w_data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, c_in)
-                dx = _column_gemm(win.transpose(0, 1, 2, 4, 5, 3), w_flip)
-                dx = dx.reshape(n, h, wdt, c_in)
-                _accum(x, np.ascontiguousarray(dx.transpose(0, 3, 1, 2)), owned=True)
+                dx_step = _images_per_block(h * wdt * k * k * c_out, g.itemsize)
+                dilated = (span_h + 2 * k - 1, span_w + 2 * k - 1, c_out)
+                at_outputs = (slice(k - 1, k + span_h, stride), slice(k - 1, k + span_w, stride))
+                dx = np.empty((n, c_in, h, wdt), dtype=g.dtype)
+                for i, gd in _framed_blocks(g_nhwc, dx_step, dilated, at_outputs):
+                    win = _windows(gd, k, 1, (1, 2))[:, padding:padding + h,
+                                                     padding:padding + wdt]
+                    rows = win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, k * k * c_out) @ w_flip
+                    dx[i:i + len(gd)] = rows.reshape(-1, h, wdt, c_in).transpose(0, 3, 1, 2)
+                _accum(x, dx, owned=True)
         out._backward = bwd
     return out
 
@@ -636,24 +668,34 @@ def max_pool2d(x: Tensor, window: int, stride: int) -> Tensor:
     out = _node(_checked(out_data, "max_pool2d"), (x,))
 
     if out.requires_grad:
-        def bwd(g):
-            # an offset takes a window's gradient where it holds the maximum
-            # and no earlier offset did (``free`` marks the windows not yet
-            # taken; a hit lies inside it, so xor removes it)
+        def taken():
+            """Yield each offset with the windows whose gradient it takes:
+            those where it holds the maximum and no earlier offset did
+            (``free`` marks the windows not yet taken; a hit lies inside
+            it, so xor removes it).  Every offset gets the same buffer."""
             free = np.ones(out_data.shape, dtype=bool)
-            hits = []
+            hit = np.empty_like(free)
             for i, j in offsets:
-                hit = view(x_data, i, j) == out_data
+                np.equal(view(x_data, i, j), out_data, out=hit)
                 hit &= free
                 free ^= hit
-                hits.append(hit)
-            # last offset first: an input that several overlapping windows
-            # feed receives their gradients in window order, as np.add.at
-            # would add them
-            gx = np.zeros((n, c, h, w), dtype=g.dtype)
-            for (i, j), hit in zip(reversed(offsets), reversed(hits)):
-                target = view(gx, i, j)
-                target += g * hit
+                yield (i, j), hit
+
+        def bwd(g):
+            # windows that tile the input cover every element of gx
+            gx = (np.empty if window == stride else np.zeros)((n, c, h, w), dtype=g.dtype)
+            if window <= stride:
+                # disjoint windows: each input element takes at most one
+                # window's gradient, from one offset
+                for (i, j), hit in taken():
+                    np.multiply(g, hit, out=view(gx, i, j))
+            else:
+                # last offset first: an input that several overlapping
+                # windows feed receives their gradients in window order, as
+                # np.add.at would add them
+                for (i, j), hit in reversed([(o, hit.copy()) for o, hit in taken()]):
+                    target = view(gx, i, j)
+                    target += g * hit
             _accum(x, gx, owned=True)
         out._backward = bwd
     return out
@@ -807,7 +849,7 @@ def check_gradients(f: Callable[[], Tensor], params: Iterable[Tensor],
     at every step.  When ``max_elements_per_param`` is set, a deterministic
     subsample of elements is probed per parameter tensor.
     """
-    eps_values = (eps,) if isinstance(eps, float) else tuple(eps)
+    eps_values = tuple(map(float, [eps] if isinstance(eps, numbers.Real) else eps))
     params = list(params)
     out = f()
     if out.data.size != 1:

@@ -5,6 +5,7 @@ no op may read an ``np.empty`` array before writing it."""
 import ctypes
 import platform
 import resource
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -66,6 +67,25 @@ class TestNoReadBeforeWrite:
         poison_empty()
         assert_same_arrays(clean, run())
 
+    @pytest.mark.parametrize("window,stride", [(2, 2), (2, 3), (3, 2)])
+    def test_max_pool2d(self, poison_empty, window, stride):
+        rng = np.random.default_rng(33 + window + stride)
+        size = next(s for s in range(8, 8 + stride) if (s - window) % stride == 0)
+        x = rng.integers(0, 3, size=(2, 3, size, size)).astype(float)  # ties
+        g = rng.normal(size=(2, 3, (size - window) // stride + 1,
+                             (size - window) // stride + 1))
+
+        def run():
+            with T.default_dtype("float64"):
+                xt = T.Tensor(x, True)
+                out = T.max_pool2d(xt, window, stride)
+                T.sum_all(T.mul_const(out, g)).backward()
+            return out.data, xt.grad
+
+        clean = run()
+        poison_empty()
+        assert_same_arrays(clean, run())
+
     def test_sigmoid(self, poison_empty):
         x = np.array([[-3.0, -0.0, 0.0, 2.5], [np.inf, -np.inf, 40.0, -40.0]])
 
@@ -93,6 +113,31 @@ class TestNoReadBeforeWrite:
         poison_empty()
         dirty = D.generate_synthetic(spec)
         assert_same_arrays((clean.images, clean.labels), (dirty.images, dirty.labels))
+
+
+def test_conv2d_makes_no_whole_batch_temporary(monkeypatch):
+    # One image per block: each block temporary is a fraction of one image's
+    # columns, far below any whole-batch array such as a padded input copy
+    # or the output gradient in NHWC rows.
+    rng = np.random.default_rng(34)
+    x, w, b = (rng.normal(size=(128, 6, 8, 8)), rng.normal(size=(4, 6, 3, 3)),
+               rng.normal(size=4))
+    g = rng.normal(size=(128, 4, 8, 8))
+    monkeypatch.setattr(T, "_COLUMN_BLOCK_BYTES", 1)
+    with T.default_dtype("float64"):
+        xt, wt, bt = T.Tensor(x, True), T.Tensor(w, True), T.Tensor(b, True)
+        tracemalloc.start()
+        try:
+            out = T.conv2d(xt, wt, bt, padding=1)
+            forward = tracemalloc.get_traced_memory()[1] - out.data.nbytes
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out._backward(g)
+            backward = (tracemalloc.get_traced_memory()[1] - base
+                        - xt.grad.nbytes - wt.grad.nbytes - bt.grad.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert forward < x.nbytes / 4 and backward < x.nbytes / 4
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",

@@ -1,5 +1,7 @@
 """Autodiff engine tests: forward fixtures plus finite-difference oracles."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -448,10 +450,29 @@ class TestGraph:
         total = T.add(a, b)
         loss = T.add(T.sum_all(T.mul_const(total, c)), T.sum_all(T.square(a)))
         loss.backward()
-        for x, y in ((a, b), (a, total), (b, total)):
-            assert not np.shares_memory(x.grad, y.grad)
-        assert np.array_equal(total.grad, c) and np.array_equal(b.grad, c)
+        assert not np.shares_memory(a.grad, b.grad)
+        assert total.grad is None
+        assert np.array_equal(b.grad, c)
         np.testing.assert_allclose(a.grad, c + 2.0 * a.data, rtol=1e-15)
+
+    def test_backward_releases_interior_nodes(self):
+        x, w = leaf([1.0, -2.0]), leaf([0.5, 3.0])
+        prod = T.mul(x, w)
+        act = T.relu(prod)
+        loss = T.sum_all(act)
+        relu_closure = weakref.ref(act._backward)
+        loss.backward()
+        for node in (prod, act, loss):
+            assert node.grad is None and node._parents == ()
+            assert node._backward is T._released
+        assert relu_closure() is None  # and with it the mask it kept
+        assert np.array_equal(x.grad, [0.5, 0.0]) and np.array_equal(w.grad, [1.0, 0.0])
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            loss.backward()
+        # a new graph on a released node cannot reach the leaves either
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            T.sum_all(T.square(act)).backward()
+        assert np.array_equal(x.grad, [0.5, 0.0]) and np.array_equal(w.grad, [1.0, 0.0])
 
     def test_backward_requires_scalar(self):
         x = leaf([1.0, 2.0])
@@ -515,6 +536,15 @@ class TestCheckGradients:
         T.sum_all(T.square(w2)).backward()
         assert w2.grad[0] == pytest.approx(6.0)
         assert err < 1e-9
+
+    @pytest.mark.parametrize("eps", [np.float32(1e-3), 1])
+    def test_any_real_scalar_is_one_step(self, eps):
+        # a central difference of step s reads 3 w**2 + s**2 for w**3, so
+        # the error shows which step was taken
+        w = leaf([3.0])
+        err = T.check_gradients(lambda: T.sum_all(T.mul(T.square(w), w)), [w], eps=eps)
+        step = float(eps)
+        assert err == pytest.approx(step ** 2 / (27.0 + step ** 2), rel=1e-3)
 
     def test_rejects_non_scalar(self):
         w = leaf([1.0, 2.0])
