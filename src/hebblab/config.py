@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-ARCHES = ("tiny_vgg", "mini_resnet")
+from .models import ARCHES, SUPPORTED_INPUT_SIZES as IMAGE_SIZES
+from .tensor import PRECISIONS
+
 DATA_SOURCES = ("synthetic", "idx", "cifar10", "cifar100")
-PRECISIONS = ("float32", "float64")
-IMAGE_SIZES = (16, 28, 32)
 # Data fields a file-backed source fixes: CIFAR records are 32x32 RGB with
 # 10 or 100 labels (the fine label for cifar100); IDX images are grayscale.
 _SOURCE_FIXES = {
@@ -41,7 +41,6 @@ class TrainConfig:
     momentum: float = 0.9
     weight_decay: float = 1e-5
     swa_start_epoch: int = 24
-    swa_phase2: bool = False
     early_stop_patience: int = 15
     augment: bool = True
     seed: int = 0
@@ -95,8 +94,7 @@ def _parse_float(text: str) -> float:
 
 _TRAIN_FIELDS = {"epochs_phase1", "epochs_phase2", "batch_size", "lr_phase1",
                  "lr_phase2", "momentum", "weight_decay", "swa_start_epoch",
-                 "swa_phase2", "early_stop_patience", "augment", "seed",
-                 "precision"}
+                 "early_stop_patience", "augment", "seed", "precision"}
 _LOSS_FIELDS = {"lambda_hebb1", "lambda_hebb2", "lambda_metric", "lambda_cons",
                 "margin"}
 

@@ -1,9 +1,14 @@
 """Objective terms of the two-phase training method and their composition.
 
-Phase 1:  CE + lambda_hebb1 * nu(g) * R_hebb,                    g = CE
-Phase 2:  CE_A + CE_B + lambda_metric * L_metric
-          + nu(g) * (lambda_cons * ||theta - theta_frozen||^2
-                     + lambda_hebb2 * (R_hebb_A + R_hebb_B) / 2),  g = (CE_A + CE_B) / 2
+Both phases follow one rule (``_compose``): the sum of the CE terms, plus
+``coef * term`` for each ungated term, plus ``nu(g) * sum(coef * term)`` over
+the gated terms, where g is the mean of the CE values.  A zero coefficient
+leaves its term out of the graph.  Terms, in composition order:
+
+Phase 1:  ce; hebbian (gated, lambda_hebb1).
+Phase 2:  ce_a, ce_b; metric (lambda_metric); consolidation (gated,
+          lambda_cons) = ||theta - theta_frozen||^2; hebbian (gated,
+          lambda_hebb2) = (R_hebb_A + R_hebb_B) / 2.
 
 R_hebb aligns the spatial mean of each filter's post-ReLU activation with
 the mean of its kernel weights, as the paper's abstract states.
@@ -19,6 +24,7 @@ while theta is probed.  ``LossBreakdown.gate_input`` is the g nu read.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -130,79 +136,66 @@ def consolidation_penalty(params: dict[str, Tensor],
 
 @dataclass
 class LossBreakdown:
-    """Scalar total (graph tensor) plus reporting values for every term."""
+    """Scalar total (graph tensor), the gate and the value it read, and the
+    unweighted value of every term in composition order."""
 
     total: Tensor
-    ce: float
-    hebbian: float
     nu: float
     gate_input: float
-    metric: float = 0.0
-    consolidation: float = 0.0
-    hebbian_weighted: float = 0.0
-    metric_weighted: float = 0.0
-    consolidation_weighted: float = 0.0
-    ce_a: float = 0.0
-    ce_b: float = 0.0
+    terms: dict[str, float]
+
+
+def _compose(ces: dict[str, Tensor], entries, nm: ParamSet,
+             gate_input: float | None) -> LossBreakdown:
+    """Sum the CE terms, each ungated ``(name, term, coef, gated)`` entry as
+    ``coef * term`` and the gated ones as ``nu * sum(coef * term)``.
+
+    A zero coefficient leaves its term out of the graph.  nu reads the mean
+    of the CE values unless ``gate_input`` is given.
+    """
+    summed, gated = list(ces.values()), []
+    for _, term, coef, is_gated in entries:
+        if coef != 0:
+            (gated if is_gated else summed).append(T.scale(term, coef))
+    terms = {name: ce.item() for name, ce in ces.items()}
+    terms.update((name, term.item()) for name, term, _, _ in entries)
+    if gate_input is None:
+        gate_input = sum(terms[name] for name in ces) / len(ces)
+    nu = neuromodulator(nm, gate_input)
+    total = reduce(T.add, summed)
+    if gated:
+        total = T.add(total, T.mul(nu, reduce(T.add, gated)))
+    return LossBreakdown(total=total, nu=nu.item(), gate_input=gate_input,
+                         terms=terms)
 
 
 def phase1_loss(taps: ForwardTaps, labels, nm: ParamSet, config: TrainConfig,
                 gate_input: float | None = None) -> LossBreakdown:
-    """CE plus the gated Hebbian term; reduces to plain CE when the
-    coefficient is zero (the gated branch is not graphed at all then)."""
-    ce = cross_entropy(taps.logits, labels)
-    ce_val = ce.item()
+    """CE plus the gated Hebbian term."""
     hebb = hebbian_regularizer(taps.hebbian_activation, taps.hebbian_weight)
-    gate = ce_val if gate_input is None else gate_input
-    nu = neuromodulator(nm, gate)
-    lam = config.lambda_hebb1
-    if lam > 0:
-        total = T.add(ce, T.scale(T.mul(nu, hebb), lam))
-    else:
-        total = ce
-    hebb_val, nu_val = hebb.item(), nu.item()
-    return LossBreakdown(total=total, ce=ce_val, hebbian=hebb_val, nu=nu_val,
-                         gate_input=gate, hebbian_weighted=lam * nu_val * hebb_val)
+    return _compose({"ce": cross_entropy(taps.logits, labels)},
+                    [("hebbian", hebb, config.lambda_hebb1, True)],
+                    nm, gate_input)
 
 
 def phase2_loss(taps_a: ForwardTaps, taps_b: ForwardTaps, labels_a, labels_b,
                 model: ModelState, frozen: dict[str, np.ndarray],
                 nm: ParamSet, config: TrainConfig,
                 gate_input: float | None = None) -> LossBreakdown:
-    """Pairwise fine-tuning objective; the gate is evaluated on the mean of
-    the two CE values and scales consolidation plus continued Hebbian."""
+    """Pairwise fine-tuning objective: both CEs and the metric loss, plus
+    consolidation and continued Hebbian under the gate."""
     labels_a = np.asarray(labels_a)
     labels_b = np.asarray(labels_b)
-    ce_a = cross_entropy(taps_a.logits, labels_a)
-    ce_b = cross_entropy(taps_b.logits, labels_b)
     metric = pairwise_margin_loss(taps_a.embedding, taps_b.embedding,
                                   labels_a == labels_b, config.margin)
     hebb = T.scale(T.add(
         hebbian_regularizer(taps_a.hebbian_activation, taps_a.hebbian_weight),
         hebbian_regularizer(taps_b.hebbian_activation, taps_b.hebbian_weight)), 0.5)
-    cons = consolidation_penalty(model.params, frozen)
-    ce_a_val, ce_b_val = ce_a.item(), ce_b.item()
-    gate = 0.5 * (ce_a_val + ce_b_val) if gate_input is None else gate_input
-    nu = neuromodulator(nm, gate)
-
-    total = T.add(ce_a, ce_b)
-    if config.lambda_metric > 0:
-        total = T.add(total, T.scale(metric, config.lambda_metric))
-    gated = None
-    if config.lambda_cons > 0:
-        gated = T.scale(cons, config.lambda_cons)
-    if config.lambda_hebb2 > 0:
-        weighted_hebb = T.scale(hebb, config.lambda_hebb2)
-        gated = weighted_hebb if gated is None else T.add(gated, weighted_hebb)
-    if gated is not None:
-        total = T.add(total, T.mul(nu, gated))
-
-    hebb_val, cons_val, metric_val, nu_val = (hebb.item(), cons.item(),
-                                              metric.item(), nu.item())
-    return LossBreakdown(
-        total=total, ce=ce_a_val + ce_b_val, ce_a=ce_a_val, ce_b=ce_b_val,
-        hebbian=hebb_val, nu=nu_val, gate_input=gate, metric=metric_val,
-        consolidation=cons_val,
-        hebbian_weighted=nu_val * config.lambda_hebb2 * hebb_val,
-        metric_weighted=config.lambda_metric * metric_val,
-        consolidation_weighted=nu_val * config.lambda_cons * cons_val)
+    return _compose(
+        {"ce_a": cross_entropy(taps_a.logits, labels_a),
+         "ce_b": cross_entropy(taps_b.logits, labels_b)},
+        [("metric", metric, config.lambda_metric, False),
+         ("consolidation", consolidation_penalty(model.params, frozen),
+          config.lambda_cons, True),
+         ("hebbian", hebb, config.lambda_hebb2, True)],
+        nm, gate_input)

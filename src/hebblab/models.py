@@ -171,12 +171,15 @@ def build_mini_resnet(num_classes: int, input_channels: int = 3,
                       params=params, bn=bn, hebbian_layer="s2b2_conv2")
 
 
+BUILDERS = {"tiny_vgg": build_tiny_vgg, "mini_resnet": build_mini_resnet}
+ARCHES = tuple(BUILDERS)
+
+
 def build_model(arch: str, num_classes: int, input_channels: int = 3,
                 input_size: int = 32, seed: int = 0) -> ModelState:
-    builders = {"tiny_vgg": build_tiny_vgg, "mini_resnet": build_mini_resnet}
-    if arch not in builders:
-        raise ValueError(f"unknown architecture {arch!r}; choose from {sorted(builders)}")
-    return builders[arch](num_classes, input_channels, input_size, seed)
+    if arch not in BUILDERS:
+        raise ValueError(f"unknown architecture {arch!r}; choose from {sorted(BUILDERS)}")
+    return BUILDERS[arch](num_classes, input_channels, input_size, seed)
 
 
 def _as_batch_tensor(model: ModelState, batch) -> Tensor:
@@ -215,8 +218,8 @@ def _forward_tiny_vgg(model: ModelState, x: Tensor, training: bool) -> ForwardTa
     pooled = T.global_avg_pool(h)
     embedding = T.relu(T.dense(pooled, p["embed_w"], p["embed_b"]))
     logits = T.dense(embedding, p["head_w"], p["head_b"])
-    return ForwardTaps(logits=logits, embedding=embedding,
-                       hebbian_activation=hebb, hebbian_weight=p["conv2_w"])
+    return ForwardTaps(logits=logits, embedding=embedding, hebbian_activation=hebb,
+                       hebbian_weight=p[f"{model.hebbian_layer}_w"])
 
 
 def _res_block(model: ModelState, x: Tensor, block: str, training: bool,
@@ -250,5 +253,5 @@ def _forward_mini_resnet(model: ModelState, x: Tensor, training: bool) -> Forwar
     pooled = T.global_avg_pool(hebb)
     embedding = T.relu(T.dense(pooled, p["embed_w"], p["embed_b"]))
     logits = T.dense(embedding, p["head_w"], p["head_b"])
-    return ForwardTaps(logits=logits, embedding=embedding,
-                       hebbian_activation=hebb, hebbian_weight=p["s2b2_conv2_w"])
+    return ForwardTaps(logits=logits, embedding=embedding, hebbian_activation=hebb,
+                       hebbian_weight=p[f"{model.hebbian_layer}_w"])

@@ -86,6 +86,7 @@ def _retain_freed_memory() -> bool:
 _retain_freed_memory()
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
+PRECISIONS = tuple(_DTYPES)
 
 _default_dtype = np.float32
 _debug_checks = False
@@ -718,13 +719,12 @@ BN_MOMENTUM = 0.1
 class BatchNormStats:
     """Running mean/variance of one batch-norm layer (not graph parameters)."""
 
-    __slots__ = ("running_mean", "running_var", "momentum")
+    __slots__ = ("running_mean", "running_var")
 
     def __init__(self, channels: int, dtype=None):
         dtype = dtype or get_default_dtype()
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-        self.momentum = BN_MOMENTUM
 
     def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
         return self.running_mean.copy(), self.running_var.copy()
@@ -739,7 +739,7 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: BatchNormStats,
     """Per-channel batch norm over (N, H, W); biased variance throughout.
 
     Training mode updates the running statistics in place with EMA momentum
-    ``stats.momentum`` and requires N >= 2.
+    ``BN_MOMENTUM`` and requires N >= 2.
     """
     _require(x.data.ndim == 4, f"batch_norm2d: expected rank-4 input, got {x.shape}")
     n, c, h, w = x.data.shape
@@ -750,7 +750,7 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: BatchNormStats,
             raise ValueError("batch_norm2d: training mode requires a batch of N >= 2")
         mean = x.data.mean(axis=(0, 2, 3))
         var = x.data.var(axis=(0, 2, 3))
-        m = stats.momentum
+        m = BN_MOMENTUM
         stats.running_mean *= 1.0 - m
         stats.running_mean += m * mean.astype(stats.running_mean.dtype)
         stats.running_var *= 1.0 - m

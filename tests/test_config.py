@@ -60,14 +60,16 @@ class TestBadLines:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), line=st.one_of(
         st.from_regex(r"\Azz[a-z_]{0,8}\Z").map(lambda key: f"{key} = 1"),
-        # a loss option and a section the format no longer has
-        st.sampled_from(["hebb_activation_stat = mean", "[analysis]"])))
+        # options and a section the format no longer has
+        st.sampled_from(["hebb_activation_stat = mean", "[analysis]",
+                         "swa_phase2 = false"])))
     def test_unknown_key(self, data, line):
-        # a removed line goes under [loss], the last section
-        first = 1 if line.startswith("zz") else BASE.index("[loss]") + 1
+        key = line.partition("=")[0].strip()
+        # a removed line goes under the section that held it or a later one
+        home = "[train]" if key == "swa_phase2" else "[loss]"
+        first = 1 if line.startswith("zz") else BASE.index(home) + 1
         at = data.draw(st.integers(first, len(BASE)))
         lines = BASE[:at] + [line] + BASE[at:]
-        key = line.partition("=")[0].strip()
         match = {"[analysis]": r"unknown section \[analysis\]",
                  "hebb_activation_stat": r"unknown key 'hebb_activation_stat' in \[loss\]",
                  }.get(key, f"unknown key '{key}'")
