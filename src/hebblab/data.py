@@ -174,7 +174,7 @@ _CIFAR_PIXELS = 3 * 32 * 32
 
 
 def load_cifar_binary(paths, variant: str = "cifar10", split: str = "") -> Dataset:
-    """Load CIFAR binary record files.
+    """Load CIFAR binary record files: one path, or several, in order.
 
     cifar10: 3073-byte records (label + RGB planes); cifar100: 3074-byte
     records (coarse + fine + RGB planes), the fine label is used.
@@ -187,8 +187,9 @@ def load_cifar_binary(paths, variant: str = "cifar10", split: str = "") -> Datas
         record, label_offset, num_classes = _CIFAR_PIXELS + 2, 1, 100
     else:
         raise DataError(f"unknown cifar variant {variant!r}")
-    if isinstance(paths, str):
-        paths = [paths]
+    paths = [paths] if isinstance(paths, str) else list(paths)
+    if not paths:
+        raise DataError("no CIFAR record files given")
 
     all_images, all_labels = [], []
     for path in paths:

@@ -34,28 +34,52 @@ A training step allocates the same arrays every time and frees them during
 its backward or when the caller drops its outputs.  glibc returns freed
 memory to the kernel by two dynamic thresholds: an array above the mmap
 threshold gets its own mapping, unmapped on free, and the heap top is
-trimmed once its free space exceeds the trim threshold.  The next step then faults every page in again.
-At import this module fixes both thresholds far above any array a step or an
-eval batch frees (``_retain_freed_memory``), so freed arrays stay in the heap
-and the next step reuses them.  The price is that the process's resident set
-stays at its high-water mark instead of shrinking between steps.  Where
-glibc's ``mallopt`` is missing (macOS, Windows, musl) nothing changes.
-Because recycled heap memory is not zeroed, no op may read an array from
-``np.empty`` before writing it.
+trimmed once its free space exceeds the trim threshold.  The next step then
+faults every page in again.  At import this module fixes both thresholds far
+above any array a step or an eval batch frees (``_retain_freed_memory``), so
+freed arrays stay in the heap and the next step reuses them.  The price is
+that the process's resident set stays at its high-water mark instead of
+shrinking between steps.  It also caps glibc at one malloc arena: each
+thread would otherwise get an arena of its own, and memory freed in one
+arena is not reused by another.  Where glibc's ``mallopt`` is missing
+(macOS, Windows, musl) nothing changes.  Because recycled heap memory is not
+zeroed, no op may read an array from ``np.empty`` before writing it.
+
+Threads: ``conv2d`` runs the image blocks of each of its loops on a pool of
+W worker threads, so the copies of one block overlap the GEMM of another.
+W is the BLAS thread count: the first loop with more than one block sets
+OpenBLAS to one thread and takes the count it had as W, then makes the pool
+(``_block_pool``).  From then on every GEMM in the process runs on one BLAS
+thread, so the W workers and BLAS do not compete for the same cores.  W = 1
+(``OPENBLAS_NUM_THREADS=1``, say), or a BLAS without OpenBLAS's
+``openblas_set_num_threads_local``, means no pool: the blocks run inline and
+BLAS is left as it is.  A loop with one block always runs inline, and so
+does one whose blocks of one image already exceed the column budget.  The
+calling thread makes every worker's zero frame and scratch arrays, in worker
+order, so the heap's layout does not depend on how the threads interleave
+and a warmed step still takes no page faults.  A forked child makes a new
+pool of the same width on first use.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import math
 import numbers
-from typing import Callable, Iterable, Sequence
+import os
+import threading
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 # glibc mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 # Must exceed the largest array a step or an eval batch frees, or that array
 # is unmapped on free and faulted in again next time.  The largest today is
 # a conv1 or conv2 output of a batch-256 eval (32 MiB), which glibc maps even
@@ -64,9 +88,10 @@ _MALLOC_KEEP_BYTES = 1 << 30
 
 
 def _retain_freed_memory() -> bool:
-    """Fix glibc's mmap and trim thresholds at ``_MALLOC_KEEP_BYTES`` (see
-    the module docstring); True when both took.  Where glibc's ``mallopt``
-    is missing this does nothing and returns False.
+    """Fix glibc's mmap and trim thresholds at ``_MALLOC_KEEP_BYTES`` and
+    cap it at one malloc arena (see the module docstring); True when all
+    three took.  Where glibc's ``mallopt`` is missing this does nothing and
+    returns False.
 
     The mmap threshold goes first and the trim threshold only if it took:
     fixing the trim threshold alone also freezes the mmap threshold at its
@@ -80,7 +105,8 @@ def _retain_freed_memory() -> bool:
     mallopt.restype = ctypes.c_int
     # glibc returns 1 on success; musl's mallopt is a no-op that returns 0
     return (mallopt(_M_MMAP_THRESHOLD, _MALLOC_KEEP_BYTES) == 1
-            and mallopt(_M_TRIM_THRESHOLD, _MALLOC_KEEP_BYTES) == 1)
+            and mallopt(_M_TRIM_THRESHOLD, _MALLOC_KEEP_BYTES) == 1
+            and mallopt(_M_ARENA_MAX, 1) == 1)
 
 
 _retain_freed_memory()
@@ -510,15 +536,22 @@ def _images_per_block(per_image: int, itemsize: int) -> int:
     return max(1, _COLUMN_BLOCK_BYTES // (per_image * itemsize))
 
 
-def _columns(xp: np.ndarray, k: int, stride: int, h_out: int, w_out: int) -> np.ndarray:
+def _leading(flat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The leading elements of the 1-d array ``flat`` as an array of ``shape``."""
+    return flat[:math.prod(shape)].reshape(shape)
+
+
+def _columns(xp: np.ndarray, k: int, stride: int, h_out: int, w_out: int,
+             out: np.ndarray) -> np.ndarray:
     """im2col columns of a block of padded NCHW images as a
-    [C_in * K * K, nb * Ho * Wo] matrix, rows in (C_in, K, K) order.
+    [C_in * K * K, nb * Ho * Wo] matrix, rows in (C_in, K, K) order, written
+    into the leading elements of the 1-d array ``out``.
 
     Each of the K * K offsets is one strided slab copy whose inner runs lie
     along W; no window is copied on its own.
     """
     nb, c_in = xp.shape[:2]
-    cols = np.empty((c_in, k, k, nb, h_out, w_out), dtype=xp.dtype)
+    cols = _leading(out, (c_in, k, k, nb, h_out, w_out))
     by_channel = xp.transpose(1, 0, 2, 3)
     for i in range(k):
         for j in range(k):
@@ -526,21 +559,140 @@ def _columns(xp: np.ndarray, k: int, stride: int, h_out: int, w_out: int) -> np.
     return cols.reshape(c_in * k * k, nb * h_out * w_out)
 
 
-def _framed_blocks(src: np.ndarray, step: int, frame: tuple[int, ...],
-                   inner: tuple[slice, ...]):
-    """Yield ``(i, block)`` for each block of ``step`` images of ``src``
-    (first axis), starting at image ``i``: the images written at ``inner``
-    into a zero frame of per-image shape ``frame``.
+def _framed_blocks(src: np.ndarray, step: int, buf: np.ndarray, inner: tuple[slice, ...],
+                   first: int = 0, every: int = 1):
+    """Yield ``(i, block)`` for blocks ``first``, ``first + every``, ... of
+    ``step`` images of ``src`` (first axis), block ``i // step`` starting at
+    image ``i``: the images written at ``inner`` into ``buf``, a zero frame
+    of ``min(step, len(src))`` images.
 
-    Every block is the same buffer, so its zeros are written once and a
-    consumer must be done with one block before it takes the next.
+    Every block is ``buf``, so its zeros are written once and a consumer
+    must be done with one block before it takes the next.
     """
-    n = src.shape[0]
-    buf = np.zeros((min(step, n), *frame), dtype=src.dtype)
-    for i in range(0, n, step):
+    n = len(src)
+    for i in range(first * step, n, every * step):
         block = buf[:min(step, n - i)]
         block[(slice(None), *inner)] = src[i:i + step]
         yield i, block
+
+
+_pool_width: int | None = None  # W; decided by the first _block_pool call
+_pool: ThreadPoolExecutor | None = None
+# Results a worker may queue ahead of the caller, so at most W * (1 + this)
+# weight-gradient parts exist at once
+_AHEAD = 1
+
+
+def _single_threaded_blas() -> int:
+    """Set OpenBLAS to one thread and return the count it had; 1 where
+    ``openblas_set_num_threads_local`` is missing (another BLAS, an older
+    OpenBLAS).  The setting holds for the whole process, whichever thread
+    makes the call, so it is made once."""
+    try:
+        # numpy's extension modules load OpenBLAS privately; a handle on one
+        # of them resolves the library's symbols
+        set_threads = ctypes.CDLL(
+            np.linalg._umath_linalg.__file__).openblas_set_num_threads_local
+    except (OSError, AttributeError, TypeError):  # no such library or symbol
+        return 1
+    set_threads.argtypes = (ctypes.c_int,)
+    set_threads.restype = ctypes.c_int
+    return max(1, set_threads(1))
+
+
+def _block_pool() -> ThreadPoolExecutor | None:
+    """The pool of ``_pool_width`` workers, or None when W = 1 (see the
+    module docstring)."""
+    global _pool_width, _pool
+    if _pool_width is None:
+        _pool_width = _single_threaded_blas()
+    if _pool is None and _pool_width > 1:
+        # imported here: the module costs about 1 MB of resident memory,
+        # which a process that never makes a pool does not pay
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = ThreadPoolExecutor(_pool_width, thread_name_prefix="hebblab-blocks")
+    return _pool
+
+
+def _forget_pool() -> None:
+    """Run in a forked child, which has none of its parent's threads."""
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _map_blocks(src: np.ndarray, col_elems: int, row_elems: int,
+                frame: tuple[int, ...], inner: tuple[slice, ...],
+                body: Callable[[int, np.ndarray, np.ndarray, np.ndarray], object]):
+    """Yield ``body(i, block, cols, rows)`` for each ``(i, block)`` of
+    ``_framed_blocks`` over ``src``, in block order.
+
+    A block holds ``_images_per_block(col_elems, src.itemsize)`` images,
+    framed in a zero buffer of per-image shape ``frame``.  ``cols`` and
+    ``rows`` are 1-d scratch arrays of ``col_elems`` and ``row_elems``
+    elements per image of a block, which ``body`` may overwrite.
+
+    With a pool of W workers, block j runs on worker j mod W, which has a
+    frame and scratch arrays of its own, and a worker queues at most
+    ``_AHEAD`` results before the caller takes them.  An exception in a
+    worker is raised here, at that worker's block, once the other workers
+    have stopped.  A single block, or W = 1, runs inline.  So does a loop
+    whose blocks of one image each already exceed ``_COLUMN_BLOCK_BYTES``:
+    the pool holds at most W blocks within that budget at once.
+    """
+    step = _images_per_block(col_elems, src.itemsize)
+    n_blocks = -(-len(src) // step)
+    fits = col_elems * src.itemsize <= _COLUMN_BLOCK_BYTES
+    pool = _block_pool() if n_blocks > 1 and fits else None
+    width = 1 if pool is None else min(_pool_width, n_blocks)
+    # Every array a worker needs is made here, in worker order, and the
+    # workers allocate only their results.  Arrays that workers allocated
+    # themselves, in whatever order their threads ran, would leave the heap
+    # laid out differently from step to step, so that now and then it would
+    # grow and fault in new pages.
+    images = min(step, len(src))
+    scratch = [(np.zeros((images, *frame), dtype=src.dtype),
+                np.empty(images * col_elems, dtype=src.dtype),
+                np.empty(images * row_elems, dtype=src.dtype)) for _ in range(width)]
+    if pool is None:
+        buf, cols, rows = scratch[0]
+        for i, block in _framed_blocks(src, step, buf, inner):
+            yield body(i, block, cols, rows)
+        return
+    import queue
+    from concurrent.futures import wait
+    results = [queue.Queue(_AHEAD) for _ in range(width)]
+    stop = threading.Event()
+
+    def work(first):
+        buf, cols, rows = scratch[first]
+        try:
+            for i, block in _framed_blocks(src, step, buf, inner, first, width):
+                if stop.is_set():
+                    return
+                results[first].put((body(i, block, cols, rows), None))
+        except BaseException as exc:  # raised again by the caller
+            results[first].put((None, exc))
+
+    workers = [pool.submit(work, first) for first in range(width)]
+    try:
+        for j in range(n_blocks):
+            value, exc = results[j % width].get()
+            if exc is not None:
+                raise exc
+            yield value
+    finally:
+        # A worker puts at most once more after ``stop`` is set; emptying
+        # its queue leaves room for that put, so no worker stays blocked.
+        stop.set()
+        for result in results:
+            with contextlib.suppress(queue.Empty):
+                while True:
+                    result.get_nowait()
+        wait(workers)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
@@ -548,25 +700,31 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
     """Cross-correlation of [N, C_in, H, W] with [C_out, C_in, K, K] filters.
 
     im2col, a block of images at a time: the forward and the weight gradient
-    zero-pad each block into one reused NCHW buffer (``_framed_blocks``) and
+    zero-pad each block into a reused NCHW buffer (``_framed_blocks``) and
     build (C_in, K, K)-ordered columns from it by K * K strided slab copies
     (``_columns``).  The backward closure keeps the input itself, not a
     padded copy.  The forward is ``cols.T @ w.T`` per block: the contraction
     of ``np.tensordot`` over NCHW windows, with BLAS given the transposed
-    operand; each block's rows go straight into the NCHW output.  It equals
-    ``np.tensordot`` bit for bit on every backbone shape and every test
-    shape, but that is a property of the BLAS kernels, not of the formula:
-    at (N, C_in, H, C_out) = (3, 5, 7, 6), K = 3, padding 1, most outputs
-    differ by one rounding (up to 1.6e-7 of the largest output at float32,
-    4e-16 at float64).  The weight gradient sums ``cols @ g`` over the
-    blocks.  The input gradient is the full correlation of the
-    stride-dilated output gradient with the flipped kernel, gathered in NHWC
-    (the only NHWC arrays here), so no K x K scatter is needed; it too runs
-    a block of images at a time.  No whole-batch array is made besides the
-    output and the input gradient.  A GEMM reduces each output element in
-    an order that does not depend on its row count, so the blocks change no
-    forward value and no input gradient (the tests pin this).  ``b=None``
-    adds no bias.
+    operand; each block's rows, plus the bias, go straight into the NCHW
+    output.  It equals ``np.tensordot`` bit for bit on every backbone shape
+    and every test shape, but that is a property of the BLAS kernels, not
+    of the formula: at (N, C_in, H, C_out) = (3, 5, 7, 6), K = 3, padding
+    1, most outputs differ by one rounding (up to 1.6e-7 of the largest
+    output at float32, 4e-16 at float64).  The weight gradient sums
+    ``cols @ g`` over the blocks.  The input gradient is the full
+    correlation of the stride-dilated output gradient with the flipped
+    kernel, gathered in NHWC (the only NHWC arrays here), so no K x K
+    scatter is needed; it too runs a block of images at a time.  No
+    whole-batch array is made besides the output and the input gradient.  A
+    GEMM reduces each output element in an order that does not depend on
+    its row count, so the blocks change no forward value and no input
+    gradient (the tests pin this).  ``b=None`` adds no bias.
+
+    Each of the three block loops runs on the worker pool (``_map_blocks``,
+    module docstring).  The block partition does not depend on the pool:
+    forward and input-gradient blocks write disjoint slices of their
+    output, and the calling thread adds the weight-gradient parts in block
+    order, so every value is the same for any W.
     """
     _require(x.data.ndim == 4, f"conv2d: expected rank-4 input, got {x.shape}")
     _require(w.data.ndim == 4, f"conv2d: expected rank-4 weight, got {w.shape}")
@@ -586,20 +744,26 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
             f"kernel {k}, stride {stride}, padding {padding}")
     h_out, w_out = span_h // stride + 1, span_w // stride + 1
     x_data = x.data
-    step = _images_per_block(c_in * k * k * h_out * w_out, x_data.itemsize)
-
-    def padded_blocks():
-        return _framed_blocks(x_data, step, (c_in, h + 2 * padding, wdt + 2 * padding),
-                              (slice(None), slice(padding, padding + h),
-                               slice(padding, padding + wdt)))
+    # the blocks of the forward and the weight gradient: the input, zero-padded,
+    # with room for its columns and for one [Ho * Wo, C_out] matrix per image
+    padded = (x_data, c_in * k * k * h_out * w_out, h_out * w_out * c_out,
+              (c_in, h + 2 * padding, wdt + 2 * padding),
+              (slice(None), slice(padding, padding + h), slice(padding, padding + wdt)))
 
     w_cols = w.data.reshape(c_out, -1).T
     out_data = np.empty((n, c_out, h_out, w_out), dtype=x_data.dtype)
-    for i, xp in padded_blocks():
-        rows = _columns(xp, k, stride, h_out, w_out).T @ w_cols
-        out_data[i:i + len(xp)] = rows.reshape(-1, h_out, w_out, c_out).transpose(0, 3, 1, 2)
-    if b is not None:
-        out_data += b.data[None, :, None, None]
+
+    def forward_block(i, xp, cols, rows):
+        cols = _columns(xp, k, stride, h_out, w_out, cols)
+        rows = np.matmul(cols.T, w_cols, out=_leading(rows, (cols.shape[1], c_out)))
+        rows = rows.reshape(-1, h_out, w_out, c_out).transpose(0, 3, 1, 2)
+        if b is None:
+            out_data[i:i + len(xp)] = rows
+        else:
+            np.add(rows, b.data[:, None, None], out=out_data[i:i + len(xp)])
+
+    for _ in _map_blocks(*padded, forward_block):
+        pass
     parents = (x, w) if b is None else (x, w, b)
     out = _node(_checked(out_data, "conv2d"), parents)
 
@@ -608,12 +772,16 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
         def bwd(g):
             g_nhwc = g.transpose(0, 2, 3, 1)
             if w.requires_grad:
-                # summed over the blocks as [C_in * K * K, C_out]: that GEMM
-                # layout runs faster than its transpose
-                dw = np.zeros((c_in * k * k, c_out), dtype=g.dtype)
-                for i, xp in padded_blocks():
-                    dw += _columns(xp, k, stride, h_out, w_out) \
-                        @ g_nhwc[i:i + len(xp)].reshape(-1, c_out)
+                def dw_part(i, xp, cols, rows):
+                    g_rows = _leading(rows, (len(xp), h_out, w_out, c_out))
+                    np.copyto(g_rows, g_nhwc[i:i + len(xp)])
+                    return _columns(xp, k, stride, h_out, w_out, cols) \
+                        @ g_rows.reshape(-1, c_out)
+
+                # summed over the blocks in block order, as [C_in * K * K,
+                # C_out]: that GEMM layout runs faster than its transpose
+                dw = sum(_map_blocks(*padded, dw_part),
+                         np.zeros((c_in * k * k, c_out), dtype=g.dtype))
                 _accum(w, np.ascontiguousarray(dw.T).reshape(w_data.shape), owned=True)
             if b is not None and b.requires_grad:
                 _accum(b, g.sum(axis=(0, 2, 3)), owned=True)
@@ -624,15 +792,22 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
                 # covers every output that read input row y; only windows
                 # starting inside the unpadded input are gathered.
                 w_flip = w_data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, c_in)
-                dx_step = _images_per_block(h * wdt * k * k * c_out, g.itemsize)
                 dilated = (span_h + 2 * k - 1, span_w + 2 * k - 1, c_out)
                 at_outputs = (slice(k - 1, k + span_h, stride), slice(k - 1, k + span_w, stride))
                 dx = np.empty((n, c_in, h, wdt), dtype=g.dtype)
-                for i, gd in _framed_blocks(g_nhwc, dx_step, dilated, at_outputs):
+
+                def dx_block(i, gd, cols, rows):
                     win = _windows(gd, k, 1, (1, 2))[:, padding:padding + h,
                                                      padding:padding + wdt]
-                    rows = win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, k * k * c_out) @ w_flip
+                    win_rows = _leading(cols, (len(gd), h, wdt, k, k, c_out))
+                    np.copyto(win_rows, win.transpose(0, 1, 2, 4, 5, 3))
+                    rows = np.matmul(win_rows.reshape(-1, k * k * c_out), w_flip,
+                                     out=_leading(rows, (len(gd) * h * wdt, c_in)))
                     dx[i:i + len(gd)] = rows.reshape(-1, h, wdt, c_in).transpose(0, 3, 1, 2)
+
+                for _ in _map_blocks(g_nhwc, h * wdt * k * k * c_out, h * wdt * c_in,
+                                     dilated, at_outputs, dx_block):
+                    pass
                 _accum(x, dx, owned=True)
         out._backward = bwd
     return out

@@ -129,6 +129,11 @@ class TestCifar:
         ds = D.load_cifar_binary(str(path), "cifar100")
         assert ds.labels.tolist() == [42, 42]
 
+    @pytest.mark.parametrize("paths", [[], ()])
+    def test_no_files(self, paths):
+        with pytest.raises(D.DataError, match="^no CIFAR record files given$"):
+            D.load_cifar_binary(paths, "cifar10")
+
     def test_truncated_record(self, tmp_path):
         path = tmp_path / "trunc.bin"
         path.write_bytes(bytes(3073 + 10))

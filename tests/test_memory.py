@@ -172,14 +172,14 @@ def test_warm_phase1_steps_take_no_page_faults():
     assert faults < 100
 
 
-class FakeMallopt:
-    """A C library's ``mallopt`` that records its calls."""
+class FakeCFunction:
+    """A C function, such as ``mallopt``, that records its calls."""
 
     def __init__(self, result):
         self.result, self.calls = result, []
 
-    def __call__(self, param, value):
-        self.calls.append((param, value))
+    def __call__(self, *args):
+        self.calls.append(args)
         return self.result
 
 
@@ -195,14 +195,58 @@ class TestRetainPolicy:
         assert T._retain_freed_memory() is False
 
     @pytest.mark.parametrize("result,params", [
-        (1, [T._M_MMAP_THRESHOLD, T._M_TRIM_THRESHOLD]),
+        (1, [(T._M_MMAP_THRESHOLD, T._MALLOC_KEEP_BYTES),
+             (T._M_TRIM_THRESHOLD, T._MALLOC_KEEP_BYTES), (T._M_ARENA_MAX, 1)]),
         # a no-op mallopt (musl) refuses the mmap threshold; the trim
         # threshold alone would freeze a 128 kB mmap threshold, so it is
         # left alone
-        (0, [T._M_MMAP_THRESHOLD])])
+        (0, [(T._M_MMAP_THRESHOLD, T._MALLOC_KEEP_BYTES)])])
     def test_mmap_threshold_first(self, monkeypatch, result, params):
-        fake = FakeMallopt(result)
+        fake = FakeCFunction(result)
         monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=fake))
         assert T._retain_freed_memory() is bool(result)
-        assert fake.calls == [(p, T._MALLOC_KEEP_BYTES) for p in params]
+        assert fake.calls == params
         assert fake.argtypes == (ctypes.c_int, ctypes.c_int)
+
+
+def run_multi_block_conv2d(monkeypatch):
+    """A conv2d forward whose loop has four blocks that fit the budget."""
+    rng = np.random.default_rng(35)
+    x, w = rng.normal(size=(8, 2, 5, 5)), rng.normal(size=(3, 2, 3, 3))
+    monkeypatch.setattr(T, "_COLUMN_BLOCK_BYTES", 2 * 2 * 9 * 25 * 8)  # two images
+    with T.default_dtype("float64"):
+        return T.conv2d(T.Tensor(x), T.Tensor(w), padding=1).data
+
+
+class TestBlockPoolPolicy:
+    @pytest.fixture(autouse=True)
+    def undecided(self, monkeypatch):
+        """No pool width decided yet; the module's own state is restored after."""
+        monkeypatch.setattr(T, "_pool_width", None)
+        monkeypatch.setattr(T, "_pool", None)
+
+    def test_no_pool_without_openblas_symbol(self, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace())
+        run_multi_block_conv2d(monkeypatch)
+        assert T._pool_width == 1 and T._pool is None
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_blas_thread_count_is_the_pool_width(self, monkeypatch, threads):
+        fake = FakeCFunction(threads)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(
+            openblas_set_num_threads_local=fake))
+        for _ in range(2):
+            run_multi_block_conv2d(monkeypatch)
+        # BLAS is set to one thread once, and its old count is W
+        assert fake.calls == [(1,)]
+        assert fake.argtypes == (ctypes.c_int,) and fake.restype is ctypes.c_int
+        assert T._pool_width == threads
+        assert (T._pool is None) == (threads == 1)
+
+    def test_single_block_decides_nothing(self, monkeypatch):
+        fake = FakeCFunction(2)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(
+            openblas_set_num_threads_local=fake))
+        with T.default_dtype("float64"):
+            T.conv2d(T.Tensor(np.ones((2, 2, 5, 5))), T.Tensor(np.ones((3, 2, 3, 3))))
+        assert fake.calls == [] and T._pool_width is None and T._pool is None

@@ -1,5 +1,11 @@
 """Autodiff engine tests: forward fixtures plus finite-difference oracles."""
 
+import os
+import signal
+import sys
+import threading
+import time
+import warnings
 import weakref
 
 import numpy as np
@@ -127,6 +133,13 @@ class TestConv2d:
         with pytest.raises(ValueError, match="output size"):
             T.conv2d(leaf(np.ones((1, 1, 5, 5))), leaf(np.ones((1, 1, 2, 2))),
                      leaf(np.zeros(1)), stride=2, padding=0)
+
+    def test_empty_batch(self):
+        x, w = leaf(np.zeros((0, 3, 5, 5))), leaf(np.ones((2, 3, 3, 3)))
+        out = T.conv2d(x, w, padding=1)
+        T.sum_all(out).backward()
+        assert out.shape == (0, 2, 5, 5) and x.grad.shape == (0, 3, 5, 5)
+        assert np.array_equal(w.grad, np.zeros((2, 3, 3, 3)))
 
     def test_gradient_oracle_weights(self):
         rng = np.random.default_rng(3)
@@ -276,6 +289,142 @@ class TestConv2dReference:
         # the objective is linear in each probed element, so a wide step has
         # no truncation error and divides the rounding error down
         assert fd_check(build, [x, w, b], eps=1e-2) < 1e-7
+
+
+@pytest.fixture
+def pool_width(monkeypatch):
+    """Call with W to run ``conv2d``'s block loops on a fresh pool of W
+    workers (W = 1: inline); the module's own pool is restored after."""
+    def force(width):
+        monkeypatch.setattr(T, "_pool_width", width)
+        monkeypatch.setattr(T, "_pool", None)
+    return force
+
+
+def blocked_conv(x, w, b, stride=1, padding=1, dtype="float64"):
+    """conv2d forward and backward under ``sum(out * g)``: out, dx, dW, db."""
+    with T.default_dtype(dtype):
+        xt, wt, bt = leaf(x), leaf(w), leaf(b)
+        out = T.conv2d(xt, wt, bt, stride=stride, padding=padding)
+        g = np.random.default_rng(1).normal(size=out.shape)
+        T.sum_all(T.mul_const(out, g)).backward()
+    return out.data, xt.grad, wt.grad, bt.grad
+
+
+def call_within(seconds, fn):
+    """Run ``fn`` on another thread; fail if it has not returned in time.
+    Returns the exception it raised, or None."""
+    raised = []
+
+    def target():
+        try:
+            fn()
+        except Exception as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    return raised[0] if raised else None
+
+
+def images_per_block(monkeypatch, count, shape, stride=1, padding=1, dtype="float64"):
+    """Size the blocks of a 3x3 conv2d with C_out = C_in at ``count``
+    images in whichever loop has the larger images, so every loop has
+    several."""
+    n, c, h, wdt = shape
+    h_out, w_out = (h + 2 * padding - 3) // stride + 1, (wdt + 2 * padding - 3) // stride + 1
+    per_image = 9 * c * max(h * wdt, h_out * w_out) * np.dtype(dtype).itemsize
+    monkeypatch.setattr(T, "_COLUMN_BLOCK_BYTES", count * per_image)
+
+
+class TestConv2dPool:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("shape,stride,padding", [
+        ((7, 4, 6, 6), 1, 1), ((7, 4, 5, 5), 1, 0), ((9, 4, 7, 7), 2, 1)])
+    def test_pool_width_changes_no_value(self, pool_width, monkeypatch, dtype, shape,
+                                         stride, padding):
+        images_per_block(monkeypatch, 2, shape, stride, padding, dtype)
+        rng = np.random.default_rng(40 + shape[0] + stride + padding)
+        x, w, b = rng.normal(size=shape), rng.normal(size=(4, 4, 3, 3)), rng.normal(size=4)
+        results = {}
+        for width in (1, 2):
+            pool_width(width)
+            results[width] = blocked_conv(x, w, b, stride, padding, dtype)
+            assert (T._pool is not None) == (width > 1)
+        for inline, pooled in zip(results[1], results[2]):
+            assert pooled.dtype == np.dtype(dtype)
+            assert np.array_equal(inline, pooled)
+
+    def test_more_workers_than_cores_switching_often(self, pool_width, monkeypatch):
+        rng = np.random.default_rng(46)
+        x, w, b = rng.normal(size=(23, 4, 6, 6)), rng.normal(size=(4, 4, 3, 3)), rng.normal(size=4)
+        images_per_block(monkeypatch, 1, x.shape, dtype="float32")
+        pool_width(1)
+        inline = blocked_conv(x, w, b, dtype="float32")
+        pool_width(2 * (os.cpu_count() or 1) + 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = []
+            assert call_within(60, lambda: results.append(
+                blocked_conv(x, w, b, dtype="float32"))) is None
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(results[0], inline):
+            assert np.array_equal(got, want)
+
+    # The second block of the forward, then of the weight gradient, of 7:
+    # the other worker has blocks left to queue when the caller stops.
+    @pytest.mark.parametrize("fail_at", [1, 8])
+    def test_worker_exception_reaches_the_caller(self, pool_width, monkeypatch, fail_at):
+        rng = np.random.default_rng(44)
+        x, w, b = rng.normal(size=(7, 4, 6, 6)), rng.normal(size=(4, 4, 3, 3)), rng.normal(size=4)
+        images_per_block(monkeypatch, 1, x.shape)
+        pool_width(2)
+        expected = blocked_conv(x, w, b)
+        columns, calls = T._columns, []
+
+        def failing_columns(*args):
+            calls.append(None)
+            if len(calls) == fail_at + 1:
+                raise RuntimeError("injected")
+            return columns(*args)
+
+        monkeypatch.setattr(T, "_columns", failing_columns)
+        raised = call_within(30, lambda: blocked_conv(x, w, b))
+        assert isinstance(raised, RuntimeError) and str(raised) == "injected"
+        monkeypatch.setattr(T, "_columns", columns)
+        for got, want in zip(blocked_conv(x, w, b), expected):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_makes_its_own_pool(self, pool_width, monkeypatch):
+        rng = np.random.default_rng(45)
+        x, w, b = rng.normal(size=(7, 4, 6, 6)), rng.normal(size=(4, 4, 3, 3)), rng.normal(size=4)
+        images_per_block(monkeypatch, 2, x.shape)
+        pool_width(2)
+        expected = blocked_conv(x, w, b)
+        with warnings.catch_warnings():
+            # Python 3.12 warns on any fork of a process with threads
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:  # the child: its copy of the parent's pool has no threads
+            status = 1
+            try:
+                same = all(map(np.array_equal, blocked_conv(x, w, b), expected))
+                status = 0 if same and T._pool is not None else 1
+            finally:
+                os._exit(status)
+        deadline = time.monotonic() + 30
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def pool_add_at_reference(x, g, window, stride):
