@@ -3,6 +3,7 @@ CIFAR-binary loaders, augmentation, per-channel normalization, splits."""
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -174,7 +175,8 @@ _CIFAR_PIXELS = 3 * 32 * 32
 
 
 def load_cifar_binary(paths, variant: str = "cifar10", split: str = "") -> Dataset:
-    """Load CIFAR binary record files: one path, or several, in order.
+    """Load CIFAR binary record files: one path (``str`` or path-like), or
+    an iterable of several, in order.
 
     cifar10: 3073-byte records (label + RGB planes); cifar100: 3074-byte
     records (coarse + fine + RGB planes), the fine label is used.
@@ -187,7 +189,7 @@ def load_cifar_binary(paths, variant: str = "cifar10", split: str = "") -> Datas
         record, label_offset, num_classes = _CIFAR_PIXELS + 2, 1, 100
     else:
         raise DataError(f"unknown cifar variant {variant!r}")
-    paths = [paths] if isinstance(paths, str) else list(paths)
+    paths = [paths] if isinstance(paths, (str, os.PathLike)) else list(paths)
     if not paths:
         raise DataError("no CIFAR record files given")
 

@@ -209,12 +209,12 @@ def forward(model: ModelState, batch, mode: str = "eval") -> ForwardTaps:
 
 def _forward_tiny_vgg(model: ModelState, x: Tensor, training: bool) -> ForwardTaps:
     p = model.params
-    h = T.relu(T.conv2d(x, p["conv1_w"], p["conv1_b"], padding=1))
-    hebb = T.relu(T.conv2d(h, p["conv2_w"], p["conv2_b"], padding=1))
+    h = T.conv2d(x, p["conv1_w"], p["conv1_b"], padding=1, relu=True)
+    hebb = T.conv2d(h, p["conv2_w"], p["conv2_b"], padding=1, relu=True)
     h = T.max_pool2d(hebb, 2, 2)
-    h = T.relu(T.conv2d(h, p["conv3_w"], p["conv3_b"], padding=1))
+    h = T.conv2d(h, p["conv3_w"], p["conv3_b"], padding=1, relu=True)
     h = T.max_pool2d(h, 2, 2)
-    h = T.relu(T.conv2d(h, p["conv4_w"], p["conv4_b"], padding=1))
+    h = T.conv2d(h, p["conv4_w"], p["conv4_b"], padding=1, relu=True)
     pooled = T.global_avg_pool(h)
     embedding = T.relu(T.dense(pooled, p["embed_w"], p["embed_b"]))
     logits = T.dense(embedding, p["head_w"], p["head_b"])

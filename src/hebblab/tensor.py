@@ -28,7 +28,12 @@ run, dropping the node's gradient, its parents and its closure with what the
 closure kept (masks, inputs).  So an interior gradient lives only until the
 ops that read it have passed it on, and an activation only until the last
 closure that kept it has run, unless the caller holds it.  Leaves keep their
-``.grad``; a second backward through a released graph raises.
+``.grad``; a second backward through a released graph raises.  A closure
+owns the gradient array it is handed (``Tensor.backward``) and may overwrite
+it.  ``conv2d(..., relu=True)`` fuses bias and ReLU into its output blocks,
+so no pre-activation array is made or kept: its backward takes the ReLU
+mask from the output (``out > 0`` is ``pre > 0``, also at NaN and at -0.0)
+and applies it to its own gradient in place, a block at a time.
 
 A training step allocates the same arrays every time and frees them during
 its backward or when the caller drops its outputs.  glibc returns freed
@@ -144,7 +149,8 @@ def default_dtype(name: str):
 
 
 def set_debug_checks(enabled: bool) -> None:
-    """When enabled, every primitive asserts its forward output is finite."""
+    """When enabled, every primitive asserts its forward output is finite,
+    and ``Tensor.backward`` the gradients each op's closure wrote."""
     global _debug_checks
     _debug_checks = bool(enabled)
 
@@ -209,6 +215,16 @@ class Tensor:
         the closure kept) are dropped, so a gradient lives only until the
         ops that read it have passed it on.  A second ``backward()`` through
         a released node raises ``RuntimeError``; build the forward again.
+
+        A closure is handed the node's ``.grad`` and is then the only holder
+        of that array: ``_accum`` keeps only arrays an op has just made, or
+        copies, so no other gradient, leaf or activation shares its memory.
+        A closure may therefore overwrite its ``g``, as ``conv2d`` applies
+        its ReLU mask in place.
+
+        With debug checks on, the gradients a closure leaves in the node's
+        parents must be finite, or ``FloatingPointError`` names the op,
+        taken from the closure's ``__qualname__``.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar output, got shape {self.shape}")
@@ -217,11 +233,16 @@ class Tensor:
         while order:
             # popped, so a released node is freed once nothing else holds it
             node = order.pop()
-            closure, grad = node._backward, node.grad
+            closure, grad, parents = node._backward, node.grad, node._parents
             if closure is None:
                 continue
             node.grad, node._parents, node._backward = None, (), _released
             closure(grad)
+            if _debug_checks:
+                for parent in parents:
+                    if parent.grad is not None:
+                        _checked(parent.grad, closure.__qualname__.partition(".")[0]
+                                 + " backward")
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -696,7 +717,7 @@ def _map_blocks(src: np.ndarray, col_elems: int, row_elems: int,
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
-           padding: int = 0) -> Tensor:
+           padding: int = 0, relu: bool = False) -> Tensor:
     """Cross-correlation of [N, C_in, H, W] with [C_out, C_in, K, K] filters.
 
     im2col, a block of images at a time: the forward and the weight gradient
@@ -719,6 +740,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
     GEMM reduces each output element in an order that does not depend on
     its row count, so the blocks change no forward value and no input
     gradient (the tests pin this).  ``b=None`` adds no bias.
+
+    ``relu=True`` is ``relu(conv2d(...))`` bit for bit, in the output and in
+    all three gradients, as one op: each forward block clamps its own slice
+    of the output in place after the bias, so no pre-activation is made and
+    no separate ReLU node is recorded.  The backward needs no mask of its
+    own, since ``out > 0`` equals ``pre > 0`` (NaN and ±0 give False either
+    way).  Each weight-gradient block multiplies its slice of ``g`` by that
+    mask in place before it reads it, so the bias and input gradients that
+    follow read the masked ``g``; this relies on the closure owning ``g``
+    (``Tensor.backward``).  Without a weight gradient the calling thread
+    masks all of ``g`` in place first.
 
     Each of the three block loops runs on the worker pool (``_map_blocks``,
     module docstring).  The block partition does not depend on the pool:
@@ -757,10 +789,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
         cols = _columns(xp, k, stride, h_out, w_out, cols)
         rows = np.matmul(cols.T, w_cols, out=_leading(rows, (cols.shape[1], c_out)))
         rows = rows.reshape(-1, h_out, w_out, c_out).transpose(0, 3, 1, 2)
+        dst = out_data[i:i + len(xp)]
         if b is None:
-            out_data[i:i + len(xp)] = rows
+            dst[...] = rows
         else:
-            np.add(rows, b.data[:, None, None], out=out_data[i:i + len(xp)])
+            np.add(rows, b.data[:, None, None], out=dst)
+        if relu:
+            np.maximum(dst, 0, out=dst)
 
     for _ in _map_blocks(*padded, forward_block):
         pass
@@ -770,9 +805,16 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
     if out.requires_grad:
         w_data = w.data
         def bwd(g):
+            # g is this closure's own array (see Tensor.backward), so the
+            # ReLU mask is applied to it in place
+            if relu and not w.requires_grad:
+                np.multiply(g, out_data > 0, out=g)
             g_nhwc = g.transpose(0, 2, 3, 1)
             if w.requires_grad:
                 def dw_part(i, xp, cols, rows):
+                    if relu:
+                        g_block = g[i:i + len(xp)]
+                        np.multiply(g_block, out_data[i:i + len(xp)] > 0, out=g_block)
                     g_rows = _leading(rows, (len(xp), h_out, w_out, c_out))
                     np.copyto(g_rows, g_nhwc[i:i + len(xp)])
                     return _columns(xp, k, stride, h_out, w_out, cols) \

@@ -122,6 +122,13 @@ class TestCifar:
         expected = pixels.reshape(3, 32, 32).astype(np.float32) / 255.0
         assert np.array_equal(ds.images[0], expected)
 
+    def test_one_path_object_is_one_file(self, tmp_path):
+        path = tmp_path / "batch.bin"
+        path.write_bytes(bytes([4]) + bytes(3072))
+        ds = D.load_cifar_binary(path, "cifar10")
+        assert ds.labels.tolist() == [4] and ds.images.shape == (1, 3, 32, 32)
+        assert D.load_cifar_binary([path, path], "cifar10").labels.tolist() == [4, 4]
+
     def test_handcrafted_cifar100_record_uses_fine_label(self, tmp_path):
         record = bytes([3, 42]) + bytes(3072)
         path = tmp_path / "train.bin"

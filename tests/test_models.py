@@ -209,3 +209,39 @@ class TestPhase1GradientFidelity:
                 gradcheck.phase1_closure(model, nm, x, labels, cfg), [p],
                 max_elements_per_param=3, seed=13)
         assert frozen < 1e-4 < raw
+
+
+@pytest.mark.parametrize("arch", ["tiny_vgg", "mini_resnet"])
+@pytest.mark.parametrize("phase", [1, 2])
+def test_each_backward_closure_owns_its_gradient(arch, phase):
+    # Tensor.backward hands every closure an array that no other gradient,
+    # leaf or activation shares; conv2d applies its ReLU mask to it in place.
+    rng = np.random.default_rng(14)
+    model = M.build_model(arch, num_classes=3, input_size=16, seed=2)
+    nm = L.build_neuromodulator(seed=3)
+    x, labels = rng.random((2, 3, 16, 16)), np.array([0, 2])
+    taps = M.forward(model, x, "train")
+    if phase == 1:
+        loss = L.phase1_loss(taps, labels, nm, TrainConfig()).total
+    else:
+        loss = L.phase2_loss(taps, M.forward(model, x[::-1], "train"), labels,
+                             labels[::-1], model, model.snapshot_params(), nm,
+                             TrainConfig()).total
+    nodes = T._topo_order(loss)
+    received = []
+
+    def recording(closure):
+        def run(g):
+            received.append(g)
+            closure(g)
+        return run
+
+    for node in nodes:
+        if node._backward is not None:
+            node._backward = recording(node._backward)
+    loss.backward()
+    leaves = [*model.params.values(), *nm.params.values()]
+    held = [node.data for node in nodes] + [p.grad for p in leaves if p.grad is not None]
+    assert len(received) > 20
+    for i, g in enumerate(received):
+        assert not any(np.may_share_memory(g, other) for other in received[i + 1:] + held)

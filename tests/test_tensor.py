@@ -189,6 +189,18 @@ def conv_loops(x, w, b, g, stride, padding):
     return out, dx, dw, g.sum(axis=(0, 2, 3))
 
 
+# (N, C_in, H = W, C_out, K, padding, dtype) of the backbones' convs
+BACKBONE_CONVS = [
+    # tiny_vgg at 32x32, batch 64: conv1 to conv4
+    *[(64, c_in, size, c_out, 3, 1, "float32") for c_in, size, c_out in [
+        (3, 32, 32), (32, 32, 32), (32, 16, 64), (64, 8, 128)]],
+    # both backbones at 16x16, N = 2: tiny_vgg conv1 to conv4, then the
+    # mini_resnet 3x3 convs not listed above
+    *[(2, c_in, size, c_out, 3, 1, "float64") for c_in, size, c_out in [
+        (3, 16, 32), (32, 16, 32), (32, 8, 64), (64, 4, 128),
+        (16, 16, 16), (16, 8, 32), (32, 8, 32)]]]
+
+
 class TestConv2dReference:
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -211,14 +223,7 @@ class TestConv2dReference:
             (2, 3, 16, 16, 3, 1), (2, 16, 8, 32, 1, 0), (3, 5, 7, 6, 3, 2),
             # more than one block of images at both precisions
             (16, 32, 16, 64, 3, 1)] for dtype in ("float32", "float64")],
-        # tiny_vgg at 32x32, batch 64: conv1 to conv4
-        *[(64, c_in, size, c_out, 3, 1, "float32") for c_in, size, c_out in [
-            (3, 32, 32), (32, 32, 32), (32, 16, 64), (64, 8, 128)]],
-        # both backbones at 16x16, N = 2: tiny_vgg conv1 to conv4, then the
-        # mini_resnet 3x3 convs not listed above
-        *[(2, c_in, size, c_out, 3, 1, "float64") for c_in, size, c_out in [
-            (3, 16, 32), (32, 16, 32), (32, 8, 64), (64, 4, 128),
-            (16, 16, 16), (16, 8, 32), (32, 8, 32)]]])
+        *BACKBONE_CONVS])
     def test_forward_bit_equal_to_tensordot(self, n, c_in, size, c_out, k, padding,
                                             dtype):
         # This contraction order fixes the float rounding of every forward
@@ -291,6 +296,73 @@ class TestConv2dReference:
         assert fd_check(build, [x, w, b], eps=1e-2) < 1e-7
 
 
+def fused_and_composed(x, w, b, cot, stride=1, padding=1, w_grad=True):
+    """Output, dx, dW and db of ``conv2d(..., relu=True)`` and of
+    ``relu(conv2d(...))`` under ``sum(out * cot)``; db is None without b."""
+    results = []
+    for fused in (True, False):
+        xt, wt = leaf(x), leaf(w, w_grad)
+        bt = None if b is None else leaf(b)
+        if fused:
+            out = T.conv2d(xt, wt, bt, stride, padding, relu=True)
+        else:
+            out = T.relu(T.conv2d(xt, wt, bt, stride, padding))
+        T.sum_all(T.mul_const(out, cot)).backward()
+        results.append((out.data, xt.grad, wt.grad, None if bt is None else bt.grad))
+    return results
+
+
+def assert_same_bits(a, b):
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestConv2dFusedRelu:
+    @pytest.mark.parametrize("n,c_in,size,c_out,k,padding,dtype,stride", [
+        *[(*shape, 1) for shape in BACKBONE_CONVS],
+        (2, 16, 8, 32, 1, 0, "float64", 1),  # mini_resnet's projection
+        (3, 5, 7, 6, 3, 2, "float32", 1), (3, 5, 9, 6, 3, 1, "float64", 2)])
+    def test_equals_relu_of_conv_bit_for_bit(self, n, c_in, size, c_out, k, padding,
+                                             dtype, stride):
+        rng = np.random.default_rng(n + c_in + size + c_out + stride)
+        with T.default_dtype(dtype):
+            x = rng.normal(size=(n, c_in, size, size)).astype(dtype)
+            w = rng.normal(size=(c_out, c_in, k, k)).astype(dtype)
+            b = rng.normal(size=c_out).astype(dtype)
+            # channel 0 is exactly zero before the ReLU, channel 1 all NaN
+            w[:2], b[0], b[1] = 0.0, 0.0, np.nan
+            h_out = (size + 2 * padding - k) // stride + 1
+            cot = rng.normal(size=(n, c_out, h_out, h_out)).astype(dtype)
+            fused, composed = fused_and_composed(x, w, b, cot, stride, padding)
+        for got, want in zip(fused, composed):
+            assert_same_bits(got, want)
+        out, _, dw, db = fused
+        assert np.all(out[:, 0] == 0) and np.all(np.isnan(out[:, 1]))
+        # neither channel passes a gradient: 0 at the kink, none through NaN
+        assert np.all(dw[:2] == 0) and np.all(db[:2] == 0)
+
+    @pytest.mark.parametrize("w_grad", [True, False])
+    def test_no_bias_nan_input_frozen_weight(self, w_grad):
+        rng = np.random.default_rng(47)
+        x, w = rng.normal(size=(3, 4, 6, 6)), rng.normal(size=(5, 4, 3, 3))
+        x[1, 2, 3, 3] = np.nan
+        cot = rng.normal(size=(3, 5, 6, 6))
+        fused, composed = fused_and_composed(x, w, None, cot, w_grad=w_grad)
+        for got, want in zip(fused, composed):
+            assert_same_bits(got, want)
+
+    def test_records_one_node(self):
+        rng = np.random.default_rng(48)
+        x, w, b = leaf(rng.normal(size=(2, 3, 5, 5))), leaf(rng.normal(size=(4, 3, 3, 3))), \
+            leaf(rng.normal(size=4))
+        assert T.conv2d(x, w, b, padding=1, relu=True)._parents == (x, w, b)
+        with T.no_grad():
+            out = T.conv2d(x, w, b, padding=1, relu=True)
+        assert out._parents == () and out._backward is None
+        assert np.array_equal(out.data, T.relu(T.conv2d(x, w, b, padding=1)).data)
+
+
 @pytest.fixture
 def pool_width(monkeypatch):
     """Call with W to run ``conv2d``'s block loops on a fresh pool of W
@@ -301,11 +373,11 @@ def pool_width(monkeypatch):
     return force
 
 
-def blocked_conv(x, w, b, stride=1, padding=1, dtype="float64"):
+def blocked_conv(x, w, b, stride=1, padding=1, dtype="float64", relu=False):
     """conv2d forward and backward under ``sum(out * g)``: out, dx, dW, db."""
     with T.default_dtype(dtype):
         xt, wt, bt = leaf(x), leaf(w), leaf(b)
-        out = T.conv2d(xt, wt, bt, stride=stride, padding=padding)
+        out = T.conv2d(xt, wt, bt, stride=stride, padding=padding, relu=relu)
         g = np.random.default_rng(1).normal(size=out.shape)
         T.sum_all(T.mul_const(out, g)).backward()
     return out.data, xt.grad, wt.grad, bt.grad
@@ -339,19 +411,33 @@ def images_per_block(monkeypatch, count, shape, stride=1, padding=1, dtype="floa
     monkeypatch.setattr(T, "_COLUMN_BLOCK_BYTES", count * per_image)
 
 
+POOLED_SHAPES = [((7, 4, 6, 6), 1, 1), ((7, 4, 5, 5), 1, 0), ((9, 4, 7, 7), 2, 1)]
+
+
 class TestConv2dPool:
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    @pytest.mark.parametrize("shape,stride,padding", [
-        ((7, 4, 6, 6), 1, 1), ((7, 4, 5, 5), 1, 0), ((9, 4, 7, 7), 2, 1)])
+    @pytest.mark.parametrize("shape,stride,padding", POOLED_SHAPES)
     def test_pool_width_changes_no_value(self, pool_width, monkeypatch, dtype, shape,
                                          stride, padding):
+        self.check_pool_widths(pool_width, monkeypatch, dtype, shape, stride, padding,
+                               relu=False)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("shape,stride,padding", POOLED_SHAPES)
+    def test_pool_width_changes_no_fused_relu_value(self, pool_width, monkeypatch, dtype,
+                                                    shape, stride, padding):
+        self.check_pool_widths(pool_width, monkeypatch, dtype, shape, stride, padding,
+                               relu=True)
+
+    @staticmethod
+    def check_pool_widths(pool_width, monkeypatch, dtype, shape, stride, padding, relu):
         images_per_block(monkeypatch, 2, shape, stride, padding, dtype)
         rng = np.random.default_rng(40 + shape[0] + stride + padding)
         x, w, b = rng.normal(size=shape), rng.normal(size=(4, 4, 3, 3)), rng.normal(size=4)
         results = {}
         for width in (1, 2):
             pool_width(width)
-            results[width] = blocked_conv(x, w, b, stride, padding, dtype)
+            results[width] = blocked_conv(x, w, b, stride, padding, dtype, relu)
             assert (T._pool is not None) == (width > 1)
         for inline, pooled in zip(results[1], results[2]):
             assert pooled.dtype == np.dtype(dtype)
@@ -671,6 +757,30 @@ class TestGraph:
                 T.sqrt(leaf([-1.0]))
         finally:
             T.set_debug_checks(False)
+
+    # A NaN cotangent injected through mul_const, then a finite forward whose
+    # conv2d input gradient overflows (1e200 * 1e200)
+    @pytest.mark.parametrize("injected,op", [(True, "mul_const"), (False, "conv2d")])
+    def test_debug_checks_name_the_op_of_a_nonfinite_gradient(self, injected, op):
+        def build():
+            x = leaf(np.full((1, 1, 3, 3), 1e-200))
+            w = leaf(np.full((2, 1, 3, 3), 1e200))
+            out = T.conv2d(x, w, leaf(np.zeros(2)), padding=1)
+            cot = np.full(out.shape, np.nan if injected else 1.0)
+            return x, T.scale(T.sum_all(T.mul_const(out, cot)), 1e200)
+
+        with np.errstate(over="ignore"):
+            x, loss = build()
+            loss.backward()  # checks off: no check, the gradient is non-finite
+            assert not np.all(np.isfinite(x.grad))
+            x, loss = build()
+            T.set_debug_checks(True)
+            try:
+                with pytest.raises(FloatingPointError, match=f"^non-finite values "
+                                                             f"produced by {op} backward$"):
+                    loss.backward()
+            finally:
+                T.set_debug_checks(False)
 
 
 class TestCheckGradients:
