@@ -92,11 +92,10 @@ def _parse_float(text: str) -> float:
     return value
 
 
-_TRAIN_FIELDS = {"epochs_phase1", "epochs_phase2", "batch_size", "lr_phase1",
-                 "lr_phase2", "momentum", "weight_decay", "swa_start_epoch",
-                 "early_stop_patience", "augment", "seed", "precision"}
-_LOSS_FIELDS = {"lambda_hebb1", "lambda_hebb2", "lambda_metric", "lambda_cons",
-                "margin"}
+# TrainConfig fields go in [loss] if named here and in [train] otherwise,
+# each section in field order
+_LOSS_FIELDS = ("lambda_hebb1", "lambda_hebb2", "lambda_metric", "lambda_cons", "margin")
+_TRAIN_FIELDS = tuple(f.name for f in fields(TrainConfig) if f.name not in _LOSS_FIELDS)
 
 
 def _section_map() -> dict[str, dict[str, type]]:
@@ -249,14 +248,9 @@ def render_effective(cfg: FullConfig) -> str:
     for f in fields(DataConfig):
         out.append(f"{f.name} = {_format_value(getattr(cfg.data, f.name))}")
     out.append("")
-    out.append("[train]")
-    for f in fields(TrainConfig):
-        if f.name in _TRAIN_FIELDS:
-            out.append(f"{f.name} = {_format_value(getattr(cfg.train, f.name))}")
-    out.append("")
-    out.append("[loss]")
-    for f in fields(TrainConfig):
-        if f.name in _LOSS_FIELDS:
-            out.append(f"{f.name} = {_format_value(getattr(cfg.train, f.name))}")
-    out.append("")
+    for section, names in (("train", _TRAIN_FIELDS), ("loss", _LOSS_FIELDS)):
+        out.append(f"[{section}]")
+        for name in names:
+            out.append(f"{name} = {_format_value(getattr(cfg.train, name))}")
+        out.append("")
     return "\n".join(out)

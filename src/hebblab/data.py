@@ -222,10 +222,6 @@ def load_cifar_binary(paths, variant: str = "cifar10", split: str = "") -> Datas
 # ---------------------------------------------------------------------------
 
 
-def flip_horizontal(images: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(images[..., ::-1])
-
-
 def pad_crop(images: np.ndarray, offsets_y, offsets_x, pad: int = 4) -> np.ndarray:
     """Zero-pad by ``pad`` and crop back at the given per-image offsets.
 
@@ -242,22 +238,18 @@ def pad_crop(images: np.ndarray, offsets_y, offsets_x, pad: int = 4) -> np.ndarr
     return out
 
 
-def augment_batch(images: np.ndarray, rng: np.random.Generator,
-                  flip: bool = True, crop: bool = True, pad: int = 4) -> np.ndarray:
-    """Per-image independent horizontal flip (p = 0.5) and pad-then-crop.
+def augment_batch(images: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Per-image independent horizontal flip (p = 0.5), then a zero-pad by 4
+    and a crop at one of the 9 x 9 offsets, drawn uniformly.
 
     Draw order is fixed (flips, then crop offsets) so a seeded generator
     reproduces the exact augmentation stream.
     """
-    out = images
-    if flip:
-        mask = rng.random(images.shape[0]) < 0.5
-        out = out.copy()
-        out[mask] = out[mask, :, :, ::-1]
-    if crop:
-        offs = rng.integers(0, 2 * pad + 1, size=(images.shape[0], 2))
-        out = pad_crop(out, offs[:, 0], offs[:, 1], pad=pad)
-    return out
+    out = images.copy()
+    mask = rng.random(images.shape[0]) < 0.5
+    out[mask] = out[mask, :, :, ::-1]
+    offs = rng.integers(0, 9, size=(images.shape[0], 2))
+    return pad_crop(out, offs[:, 0], offs[:, 1])
 
 
 # ---------------------------------------------------------------------------

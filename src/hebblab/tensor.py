@@ -52,18 +52,20 @@ zeroed, no op may read an array from ``np.empty`` before writing it.
 
 Threads: ``conv2d`` runs the image blocks of each of its loops on a pool of
 W worker threads, so the copies of one block overlap the GEMM of another.
-W is the BLAS thread count: the first loop with more than one block sets
-OpenBLAS to one thread and takes the count it had as W, then makes the pool
-(``_block_pool``).  From then on every GEMM in the process runs on one BLAS
-thread, so the W workers and BLAS do not compete for the same cores.  W = 1
-(``OPENBLAS_NUM_THREADS=1``, say), or a BLAS without OpenBLAS's
-``openblas_set_num_threads_local``, means no pool: the blocks run inline and
-BLAS is left as it is.  A loop with one block always runs inline, and so
-does one whose blocks of one image already exceed the column budget.  The
-calling thread makes every worker's zero frame and scratch arrays, in worker
-order, so the heap's layout does not depend on how the threads interleave
-and a warmed step still takes no page faults.  A forked child makes a new
-pool of the same width on first use.
+The split is static: worker w runs blocks w, w + W, ..., and the calling
+thread waits for all W, then takes their results in block order
+(``_map_blocks``).  W is the BLAS thread count: the first loop with more
+than one block sets OpenBLAS to one thread and takes the count it had as W,
+then makes the pool (``_block_pool``).  From then on every GEMM in the
+process runs on one BLAS thread, so the W workers and BLAS do not compete
+for the same cores.  W = 1 (``OPENBLAS_NUM_THREADS=1``, say), or a BLAS
+without OpenBLAS's ``openblas_set_num_threads_local``, means no pool: the
+blocks run inline and BLAS is left as it is.  A loop with one block always
+runs inline, and so does one whose blocks of one image already exceed the
+column budget.  The calling thread makes every worker's zero frame and
+scratch arrays, in worker order, so the heap's layout does not depend on how
+the threads interleave and a warmed step still takes no page faults.  A
+forked child makes a new pool of the same width on first use.
 """
 
 from __future__ import annotations
@@ -73,7 +75,6 @@ import ctypes
 import math
 import numbers
 import os
-import threading
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
@@ -202,9 +203,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self) -> None:
         """Backpropagate from a scalar output through the recorded graph.
@@ -530,15 +528,6 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def _windows(a: np.ndarray, k: int, stride: int, axes: tuple[int, int]) -> np.ndarray:
-    """Strided view of the K x K windows over ``axes``: the window-start axes
-    stay in place and two trailing [K, K] axes are appended."""
-    win = np.lib.stride_tricks.sliding_window_view(a, (k, k), axis=axes)
-    index = [slice(None)] * a.ndim
-    index[axes[0]] = index[axes[1]] = slice(None, None, stride)
-    return win[tuple(index)]
-
-
 def _offset_view(a: np.ndarray, i: int, j: int, stride: int, h_out: int,
                  w_out: int) -> np.ndarray:
     """The [..., Ho, Wo] view of ``a`` holding, for every window, the element
@@ -580,28 +569,8 @@ def _columns(xp: np.ndarray, k: int, stride: int, h_out: int, w_out: int,
     return cols.reshape(c_in * k * k, nb * h_out * w_out)
 
 
-def _framed_blocks(src: np.ndarray, step: int, buf: np.ndarray, inner: tuple[slice, ...],
-                   first: int = 0, every: int = 1):
-    """Yield ``(i, block)`` for blocks ``first``, ``first + every``, ... of
-    ``step`` images of ``src`` (first axis), block ``i // step`` starting at
-    image ``i``: the images written at ``inner`` into ``buf``, a zero frame
-    of ``min(step, len(src))`` images.
-
-    Every block is ``buf``, so its zeros are written once and a consumer
-    must be done with one block before it takes the next.
-    """
-    n = len(src)
-    for i in range(first * step, n, every * step):
-        block = buf[:min(step, n - i)]
-        block[(slice(None), *inner)] = src[i:i + step]
-        yield i, block
-
-
 _pool_width: int | None = None  # W; decided by the first _block_pool call
 _pool: ThreadPoolExecutor | None = None
-# Results a worker may queue ahead of the caller, so at most W * (1 + this)
-# weight-gradient parts exist at once
-_AHEAD = 1
 
 
 def _single_threaded_blas() -> int:
@@ -648,24 +617,28 @@ if hasattr(os, "register_at_fork"):
 def _map_blocks(src: np.ndarray, col_elems: int, row_elems: int,
                 frame: tuple[int, ...], inner: tuple[slice, ...],
                 body: Callable[[int, np.ndarray, np.ndarray, np.ndarray], object]):
-    """Yield ``body(i, block, cols, rows)`` for each ``(i, block)`` of
-    ``_framed_blocks`` over ``src``, in block order.
+    """Yield ``body(i, block, cols, rows)`` for each block of ``src`` (first
+    axis), in block order.
 
-    A block holds ``_images_per_block(col_elems, src.itemsize)`` images,
-    framed in a zero buffer of per-image shape ``frame``.  ``cols`` and
-    ``rows`` are 1-d scratch arrays of ``col_elems`` and ``row_elems``
-    elements per image of a block, which ``body`` may overwrite.
+    A block holds ``_images_per_block(col_elems, src.itemsize)`` images and
+    starts at image ``i``; ``block`` is those images written at ``inner``
+    into a zero frame of per-image shape ``frame``.  ``cols`` and ``rows``
+    are 1-d scratch arrays of ``col_elems`` and ``row_elems`` elements per
+    image of a block, which ``body`` may overwrite.  A frame and its scratch
+    arrays serve one block after another, so the frame's zeros are written
+    once.
 
-    With a pool of W workers, block j runs on worker j mod W, which has a
-    frame and scratch arrays of its own, and a worker queues at most
-    ``_AHEAD`` results before the caller takes them.  An exception in a
-    worker is raised here, at that worker's block, once the other workers
-    have stopped.  A single block, or W = 1, runs inline.  So does a loop
-    whose blocks of one image each already exceed ``_COLUMN_BLOCK_BYTES``:
-    the pool holds at most W blocks within that budget at once.
+    With a pool of W workers, worker w runs blocks w, w + W, ... in turn,
+    each in a frame and scratch arrays of its own.  Once every worker has
+    finished, their results are yielded in block order, or the first
+    failed worker's exception is raised.  A single block, or W = 1, runs
+    inline, one block per result.  So does a loop whose blocks of one image
+    each already exceed ``_COLUMN_BLOCK_BYTES``: the pool holds W blocks
+    within that budget at once.
     """
+    n = len(src)
     step = _images_per_block(col_elems, src.itemsize)
-    n_blocks = -(-len(src) // step)
+    n_blocks = -(-n // step)
     fits = col_elems * src.itemsize <= _COLUMN_BLOCK_BYTES
     pool = _block_pool() if n_blocks > 1 and fits else None
     width = 1 if pool is None else min(_pool_width, n_blocks)
@@ -674,46 +647,27 @@ def _map_blocks(src: np.ndarray, col_elems: int, row_elems: int,
     # themselves, in whatever order their threads ran, would leave the heap
     # laid out differently from step to step, so that now and then it would
     # grow and fault in new pages.
-    images = min(step, len(src))
+    images = min(step, n)
     scratch = [(np.zeros((images, *frame), dtype=src.dtype),
                 np.empty(images * col_elems, dtype=src.dtype),
                 np.empty(images * row_elems, dtype=src.dtype)) for _ in range(width)]
-    if pool is None:
-        buf, cols, rows = scratch[0]
-        for i, block in _framed_blocks(src, step, buf, inner):
+
+    def blocks(worker):
+        buf, cols, rows = scratch[worker]
+        for i in range(worker * step, n, width * step):
+            block = buf[:min(step, n - i)]
+            block[(slice(None), *inner)] = src[i:i + step]
             yield body(i, block, cols, rows)
+
+    if pool is None:
+        yield from blocks(0)
         return
-    import queue
     from concurrent.futures import wait
-    results = [queue.Queue(_AHEAD) for _ in range(width)]
-    stop = threading.Event()
-
-    def work(first):
-        buf, cols, rows = scratch[first]
-        try:
-            for i, block in _framed_blocks(src, step, buf, inner, first, width):
-                if stop.is_set():
-                    return
-                results[first].put((body(i, block, cols, rows), None))
-        except BaseException as exc:  # raised again by the caller
-            results[first].put((None, exc))
-
-    workers = [pool.submit(work, first) for first in range(width)]
-    try:
-        for j in range(n_blocks):
-            value, exc = results[j % width].get()
-            if exc is not None:
-                raise exc
-            yield value
-    finally:
-        # A worker puts at most once more after ``stop`` is set; emptying
-        # its queue leaves room for that put, so no worker stays blocked.
-        stop.set()
-        for result in results:
-            with contextlib.suppress(queue.Empty):
-                while True:
-                    result.get_nowait()
-        wait(workers)
+    workers = [pool.submit(list, blocks(worker)) for worker in range(width)]
+    wait(workers)
+    results = [worker.result() for worker in workers]
+    for j in range(n_blocks):
+        yield results[j % width][j // width]
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
@@ -721,7 +675,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
     """Cross-correlation of [N, C_in, H, W] with [C_out, C_in, K, K] filters.
 
     im2col, a block of images at a time: the forward and the weight gradient
-    zero-pad each block into a reused NCHW buffer (``_framed_blocks``) and
+    zero-pad each block into a reused NCHW buffer (``_map_blocks``) and
     build (C_in, K, K)-ordered columns from it by K * K strided slab copies
     (``_columns``).  The backward closure keeps the input itself, not a
     padded copy.  The forward is ``cols.T @ w.T`` per block: the contraction
@@ -752,11 +706,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
     (``Tensor.backward``).  Without a weight gradient the calling thread
     masks all of ``g`` in place first.
 
-    Each of the three block loops runs on the worker pool (``_map_blocks``,
-    module docstring).  The block partition does not depend on the pool:
-    forward and input-gradient blocks write disjoint slices of their
-    output, and the calling thread adds the weight-gradient parts in block
-    order, so every value is the same for any W.
+    Each of the three block loops runs on the worker pool, worker w taking
+    blocks w, w + W, ... (``_map_blocks``, module docstring).  The block
+    partition does not depend on the pool: forward and input-gradient
+    blocks write disjoint slices of their output, and the calling thread
+    adds the weight-gradient parts in block order, so every value is the
+    same for any W.
     """
     _require(x.data.ndim == 4, f"conv2d: expected rank-4 input, got {x.shape}")
     _require(w.data.ndim == 4, f"conv2d: expected rank-4 weight, got {w.shape}")
@@ -839,8 +794,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
                 dx = np.empty((n, c_in, h, wdt), dtype=g.dtype)
 
                 def dx_block(i, gd, cols, rows):
-                    win = _windows(gd, k, 1, (1, 2))[:, padding:padding + h,
-                                                     padding:padding + wdt]
+                    # the K x K windows starting at each padded-input pixel,
+                    # as two trailing axes
+                    win = np.lib.stride_tricks.sliding_window_view(
+                        gd, (k, k), axis=(1, 2))[:, padding:padding + h, padding:padding + wdt]
                     win_rows = _leading(cols, (len(gd), h, wdt, k, k, c_out))
                     np.copyto(win_rows, win.transpose(0, 1, 2, 4, 5, 3))
                     rows = np.matmul(win_rows.reshape(-1, k * k * c_out), w_flip,

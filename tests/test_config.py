@@ -2,13 +2,14 @@
 line is rejected with its line number."""
 
 import re
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hebblab.config import (ConfigError, DataConfig, FullConfig, TrainConfig,
-                            parse_config_text, render_effective)
+                            parse_config, parse_config_text, render_effective)
 
 BASE = render_effective(FullConfig()).splitlines()
 
@@ -54,6 +55,51 @@ class TestRoundTrip:
             train=TrainConfig(epochs_phase1=3, swa_start_epoch=2, lr_phase1=0.1 / 3,
                               augment=False, precision="float64", margin=0.7))
         assert parse_config_text(render_effective(cfg)) == cfg
+
+    def test_every_field_renders_once_and_round_trips_off_default(self):
+        # every field at a valid value other than its default, so a field
+        # that is not rendered, or not parsed back, changes the result
+        cfg = FullConfig(
+            arch="mini_resnet",
+            data=DataConfig(source="idx", num_classes=7, image_size=28, channels=1,
+                            train_per_class=9, val_per_class=8, test_per_class=6,
+                            noise=0.5, train_images="ti", train_labels="tl",
+                            test_images="vi", test_labels="vl"),
+            train=TrainConfig(epochs_phase1=5, epochs_phase2=4, batch_size=16,
+                              lr_phase1=0.02, lr_phase2=0.003, momentum=0.5,
+                              weight_decay=0.0, swa_start_epoch=3, early_stop_patience=2,
+                              augment=False, seed=11, precision="float64",
+                              lambda_hebb1=0.2, lambda_hebb2=0.3, lambda_metric=0.4,
+                              lambda_cons=0.05, margin=0.25))
+        text = render_effective(cfg)
+        keys = [line.partition("=")[0].strip() for line in text.splitlines() if "=" in line]
+        for part, default in ((cfg.data, DataConfig()), (cfg.train, TrainConfig())):
+            for f in fields(part):
+                assert getattr(part, f.name) != getattr(default, f.name), f.name
+                assert keys.count(f.name) == 1, f.name
+        assert len(keys) == 1 + len(fields(DataConfig)) + len(fields(TrainConfig))
+        assert parse_config_text(text) == cfg
+
+
+class TestParseConfigFile:
+    def test_file_parses_as_its_text(self, tmp_path):
+        text = render_effective(FullConfig(arch="mini_resnet", train=TrainConfig(seed=3)))
+        path = tmp_path / "run.cfg"
+        path.write_text(text, encoding="utf-8")
+        assert parse_config(str(path)) == parse_config_text(text)
+
+    def test_bad_line_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("# run\n[train]\nseed = 1\nbatch_size = big\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as err:
+            parse_config(str(path))
+        assert str(err.value).startswith(f"{path}:4: bad value for batch_size")
+
+    @pytest.mark.parametrize("name", ["missing.cfg", "."])
+    def test_unreadable_path_is_named(self, tmp_path, name):
+        path = str(tmp_path / name)
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            parse_config(path)
 
 
 class TestBadLines:

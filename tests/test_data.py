@@ -168,11 +168,6 @@ class TestCifar:
 
 
 class TestAugment:
-    def test_double_flip_identity(self):
-        rng = np.random.default_rng(2)
-        batch = rng.random((3, 3, 8, 8)).astype(np.float32)
-        assert np.array_equal(D.flip_horizontal(D.flip_horizontal(batch)), batch)
-
     def test_center_crop_identity(self):
         rng = np.random.default_rng(3)
         batch = rng.random((2, 3, 8, 8)).astype(np.float32)
@@ -187,6 +182,15 @@ class TestAugment:
         assert np.array_equal(out_a, out_b)
         assert out_a.shape == batch.shape
         assert out_a.min() >= 0.0 and out_a.max() <= 1.0
+
+    def test_flips_then_crops_in_draw_order(self):
+        batch = np.random.default_rng(6).random((8, 3, 8, 8)).astype(np.float32)
+        rng = np.random.default_rng(7)
+        flip = rng.random(len(batch)) < 0.5
+        offsets = rng.integers(0, 9, size=(len(batch), 2))
+        flipped = np.where(flip[:, None, None, None], batch[..., ::-1], batch)
+        want = D.pad_crop(flipped, offsets[:, 0], offsets[:, 1])
+        assert np.array_equal(D.augment_batch(batch, np.random.default_rng(7)), want)
 
 
 class TestNormalization:

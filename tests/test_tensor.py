@@ -10,7 +10,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hebblab import tensor as T
@@ -274,6 +274,9 @@ class TestConv2dReference:
     @given(n=st.integers(1, 2), c_in=st.integers(1, 3), c_out=st.integers(1, 3),
            k=st.integers(1, 3), stride=st.integers(1, 3), padding=st.integers(0, 2),
            out_h=st.integers(1, 3), out_w=st.integers(1, 3), seed=st.integers(0, 2**16))
+    # an input element whose true gradient is -7.3e-7: a step of 1e-2 left
+    # a relative error of 2.6e-7 from rounding alone
+    @example(n=2, c_in=3, c_out=3, k=3, stride=3, padding=2, out_h=3, out_w=3, seed=3)
     def test_gradients_match_fd_on_random_shapes(self, n, c_in, c_out, k, stride,
                                                  padding, out_h, out_w, seed):
         # input sizes chosen so that the output size is integral; an input
@@ -293,7 +296,7 @@ class TestConv2dReference:
 
         # the objective is linear in each probed element, so a wide step has
         # no truncation error and divides the rounding error down
-        assert fd_check(build, [x, w, b], eps=1e-2) < 1e-7
+        assert fd_check(build, [x, w, b], eps=1.0) < 1e-7
 
 
 def fused_and_composed(x, w, b, cot, stride=1, padding=1, w_grad=True):
