@@ -160,7 +160,8 @@ def load_idx(images_path: str, labels_path: str, num_classes: int,
         raise DataError(f"record-count mismatch: {raw.shape[0]} images vs "
                         f"{labels.shape[0]} labels")
     _check_labels(labels, num_classes, labels_path)
-    images = (raw.astype(np.float32) / 255.0)[:, None, :, :]
+    images = raw.astype(np.float32)[:, None, :, :]
+    images /= 255.0  # in place: no second full-size array
     ds = Dataset(images=images, labels=labels.astype(np.int64),
                  num_classes=num_classes, split=split)
     ds.validate()
@@ -208,7 +209,9 @@ def load_cifar_binary(paths, variant: str = "cifar10", split: str = "") -> Datas
         _check_labels(labels, num_classes, path)
         all_labels.append(labels)
         pixels = rows[:, record - _CIFAR_PIXELS:]
-        all_images.append(pixels.reshape(-1, 3, 32, 32).astype(np.float32) / 255.0)
+        images = pixels.reshape(-1, 3, 32, 32).astype(np.float32)
+        images /= 255.0  # in place: no second full-size array
+        all_images.append(images)
 
     labels = np.concatenate(all_labels)
     ds = Dataset(images=np.concatenate(all_images), labels=labels,
@@ -225,11 +228,18 @@ def load_cifar_binary(paths, variant: str = "cifar10", split: str = "") -> Datas
 def pad_crop(images: np.ndarray, offsets_y, offsets_x, pad: int = 4) -> np.ndarray:
     """Zero-pad by ``pad`` and crop back at the given per-image offsets.
 
-    Offset ``(pad, pad)`` is the identity crop.
+    Offset ``(pad, pad)`` is the identity crop; an offset outside
+    ``[0, 2 * pad]`` raises ``DataError`` naming the first such image.
     """
     n, _, h, w = images.shape
     offsets_y = np.broadcast_to(np.asarray(offsets_y), (n,))
     offsets_x = np.broadcast_to(np.asarray(offsets_x), (n,))
+    for axis, offsets in (("y", offsets_y), ("x", offsets_x)):
+        outside = np.flatnonzero((offsets < 0) | (offsets > 2 * pad))
+        if outside.size:
+            i = int(outside[0])
+            raise DataError(f"pad_crop: image {i} has {axis} offset {offsets[i]} "
+                            f"outside [0, {2 * pad}]")
     padded = np.pad(images, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     out = np.empty_like(images)
     for i in range(n):
@@ -265,7 +275,11 @@ def channel_stats(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def normalize_images(images: np.ndarray, mean: np.ndarray,
                      std: np.ndarray) -> np.ndarray:
-    return (images - mean[None, :, None, None]) / std[None, :, None, None]
+    """(images - mean) / std per channel, divided in place in the difference,
+    so only one new array is made."""
+    out = images - mean[None, :, None, None]
+    out /= std[None, :, None, None]
+    return out
 
 
 def denormalize_images(images: np.ndarray, mean: np.ndarray,

@@ -127,7 +127,7 @@ def consolidation_penalty(params: dict[str, Tensor],
         ref = frozen[name]
         if ref.shape != p.data.shape:
             raise ValueError(f"consolidation_penalty: shape mismatch for {name}")
-        term = T.sum_all(T.square(T.add_const(p, -ref.astype(p.data.dtype))))
+        term = T.squared_distance(p, ref.astype(p.data.dtype, copy=False))
         total = term if total is None else T.add(total, term)
     if total is None:
         raise ValueError("consolidation_penalty: empty parameter set")

@@ -18,10 +18,18 @@ run this way.
 
 Layout: every op takes and returns NCHW arrays, and works on them in NCHW.
 ``conv2d`` zero-pads a block of images at a time into one reused buffer and
-builds im2col columns from it by strided slab copies; only its input
-gradient gathers in NHWC, from the dilated output gradient, also a block at
-a time.  Its forward matches the ``np.tensordot`` contraction bit for bit on
-every backbone shape, but not on every shape (see ``conv2d``).
+builds im2col columns from it by one copy from a strided view; only its
+input gradient gathers in NHWC, from the dilated output gradient, also a
+block at a time.  Its forward matches the ``np.tensordot`` contraction bit
+for bit on every backbone shape, but not on every shape (see ``conv2d``).
+``batch_norm2d`` works on a contiguous input as [N, C, H * W].
+
+Per-call cost: the FD gradient check runs thousands of forwards of tiny
+batches, where an op's fixed cost outweighs its arithmetic.  So the
+reductions and batch norm call ``np.add.reduce`` and ``np.true_divide``
+themselves, with the arithmetic of ``np.sum``, ``np.mean`` and ``np.var``
+and every value bit for bit (``_mean``), and an input check formats its
+message only when it fails (``_require``).
 
 Memory: ``Tensor.backward`` releases each interior node once its closure has
 run, dropping the node's gradient, its parents and its closure with what the
@@ -301,13 +309,15 @@ def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
         t.grad += g
 
 
-def _require(condition: bool, message: str) -> None:
+def _require(condition: bool, message: str, *args) -> None:
+    """Raise ValueError(message.format(*args)) unless ``condition``; the
+    message is formatted only then, since every op call checks its inputs."""
     if not condition:
-        raise ValueError(message)
+        raise ValueError(message.format(*args))
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    _require(a.shape == b.shape, f"{op}: shape mismatch {a.shape} vs {b.shape}")
+    _require(a.shape == b.shape, "{}: shape mismatch {} vs {}", op, a.shape, b.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -374,20 +384,9 @@ def shift(a: Tensor, c: float) -> Tensor:
     return out
 
 
-def add_const(a: Tensor, c: np.ndarray) -> Tensor:
-    """a + c for a non-differentiable constant array of the same shape."""
-    _require(a.shape == np.shape(c), f"add_const: shape mismatch {a.shape} vs {np.shape(c)}")
-    out = _node(_checked(a.data + c, "add_const"), (a,))
-    if out.requires_grad:
-        def bwd(g):
-            _accum(a, g)
-        out._backward = bwd
-    return out
-
-
 def mul_const(a: Tensor, c: np.ndarray) -> Tensor:
     """a * c elementwise for a non-differentiable constant array."""
-    _require(a.shape == np.shape(c), f"mul_const: shape mismatch {a.shape} vs {np.shape(c)}")
+    _require(a.shape == np.shape(c), "mul_const: shape mismatch {} vs {}", a.shape, np.shape(c))
     out = _node(_checked(a.data * c, "mul_const"), (a,))
     if out.requires_grad:
         def bwd(g):
@@ -402,6 +401,20 @@ def square(a: Tensor) -> Tensor:
         a_data = a.data
         def bwd(g):
             _accum(a, 2.0 * a_data * g, owned=True)
+        out._backward = bwd
+    return out
+
+
+def squared_distance(a: Tensor, c: np.ndarray) -> Tensor:
+    """Scalar sum((a - c)^2) for a non-differentiable constant array of the
+    same shape, as one node; ``sum_all(square(a - c))`` bit for bit."""
+    _require(a.shape == np.shape(c), "squared_distance: shape mismatch {} vs {}",
+             a.shape, np.shape(c))
+    d = a.data - c
+    out = _node(_checked(np.add.reduce(d * d, axis=None), "squared_distance"), (a,))
+    if out.requires_grad:
+        def bwd(g):
+            _accum(a, 2.0 * d * g, owned=True)
         out._backward = bwd
     return out
 
@@ -460,8 +473,22 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _mean(data: np.ndarray, axes: tuple[int, ...] | None,
+          keepdims: bool = False):
+    """``np.mean(data, axes, keepdims=keepdims)`` of a float array, bit for
+    bit, without its Python wrapper: the ``np.add.reduce`` sum divided by
+    the count as an ``intp``, so a float32 sum is divided at float64 and
+    rounded once, as numpy divides it.  A full reduction is a numpy scalar,
+    as there."""
+    total = np.add.reduce(data, axis=axes, keepdims=keepdims)
+    count = np.intp(data.size if axes is None else math.prod(data.shape[ax] for ax in axes))
+    if isinstance(total, np.ndarray):
+        return np.true_divide(total, count, out=total, casting="unsafe")
+    return total.dtype.type(total / count)
+
+
 def sum_all(a: Tensor) -> Tensor:
-    out = _node(_checked(np.sum(a.data), "sum_all"), (a,))
+    out = _node(_checked(np.add.reduce(a.data, axis=None), "sum_all"), (a,))
     if out.requires_grad:
         def bwd(g):
             _accum(a, np.full(a.data.shape, g, dtype=a.data.dtype), owned=True)
@@ -471,7 +498,7 @@ def sum_all(a: Tensor) -> Tensor:
 
 def mean_all(a: Tensor) -> Tensor:
     n = a.data.size
-    out = _node(_checked(np.mean(a.data), "mean_all"), (a,))
+    out = _node(_checked(_mean(a.data, None), "mean_all"), (a,))
     if out.requires_grad:
         def bwd(g):
             _accum(a, np.full(a.data.shape, g / n, dtype=a.data.dtype), owned=True)
@@ -484,7 +511,7 @@ def _unreduce(g: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ...]) -> n
 
 
 def sum_axes(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    out = _node(_checked(np.sum(a.data, axis=axes), "sum_axes"), (a,))
+    out = _node(_checked(np.add.reduce(a.data, axis=axes), "sum_axes"), (a,))
     if out.requires_grad:
         def bwd(g):
             _accum(a, _unreduce(g, a.data.shape, axes))
@@ -493,9 +520,9 @@ def sum_axes(a: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 
 def mean_axes(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    count = int(np.prod([a.data.shape[ax] for ax in axes]))
-    out = _node(_checked(np.mean(a.data, axis=axes), "mean_axes"), (a,))
+    out = _node(_checked(_mean(a.data, axes), "mean_axes"), (a,))
     if out.requires_grad:
+        count = math.prod(a.data.shape[ax] for ax in axes)
         def bwd(g):
             _accum(a, _unreduce(g / count, a.data.shape, axes))
         out._backward = bwd
@@ -509,11 +536,11 @@ def mean_axes(a: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     _require(x.data.ndim == 2 and w.data.ndim == 2,
-             f"dense: expected rank-2 input/weight, got {x.shape} / {w.shape}")
+             "dense: expected rank-2 input/weight, got {} / {}", x.shape, w.shape)
     _require(x.shape[1] == w.shape[0],
-             f"dense: inner extents disagree, input {x.shape} vs weight {w.shape}")
+             "dense: inner extents disagree, input {} vs weight {}", x.shape, w.shape)
     _require(b.shape == (w.shape[1],),
-             f"dense: bias shape {b.shape} does not match output extent {w.shape[1]}")
+             "dense: bias shape {} does not match output extent {}", b.shape, w.shape[1])
     out = _node(_checked(x.data @ w.data + b.data, "dense"), (x, w, b))
     if out.requires_grad:
         x_data, w_data = x.data, w.data
@@ -557,15 +584,17 @@ def _columns(xp: np.ndarray, k: int, stride: int, h_out: int, w_out: int,
     [C_in * K * K, nb * Ho * Wo] matrix, rows in (C_in, K, K) order, written
     into the leading elements of the 1-d array ``out``.
 
-    Each of the K * K offsets is one strided slab copy whose inner runs lie
-    along W; no window is copied on its own.
+    One copy from a strided view of ``xp``, which must be C-contiguous, that
+    reads element (c, i, j, n, y, x) at ``xp[n, c, i + stride * y, j + stride
+    * x]``; its inner runs lie along W, and no window is copied on its own.
+    (``np.ndarray`` over ``xp``'s buffer makes the view in a tenth of
+    ``as_strided``'s time, and checks that it stays inside the buffer.)
     """
     nb, c_in = xp.shape[:2]
     cols = _leading(out, (c_in, k, k, nb, h_out, w_out))
-    by_channel = xp.transpose(1, 0, 2, 3)
-    for i in range(k):
-        for j in range(k):
-            cols[:, i, j] = _offset_view(by_channel, i, j, stride, h_out, w_out)
+    s_n, s_c, s_h, s_w = xp.strides
+    np.copyto(cols, np.ndarray(cols.shape, xp.dtype, xp, 0,
+                               (s_c, s_h, s_w, s_n, s_h * stride, s_w * stride)))
     return cols.reshape(c_in * k * k, nb * h_out * w_out)
 
 
@@ -676,8 +705,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
 
     im2col, a block of images at a time: the forward and the weight gradient
     zero-pad each block into a reused NCHW buffer (``_map_blocks``) and
-    build (C_in, K, K)-ordered columns from it by K * K strided slab copies
-    (``_columns``).  The backward closure keeps the input itself, not a
+    build (C_in, K, K)-ordered columns from it by one copy from a strided
+    view (``_columns``).  The backward closure keeps the input itself, not a
     padded copy.  The forward is ``cols.T @ w.T`` per block: the contraction
     of ``np.tensordot`` over NCHW windows, with BLAS given the transposed
     operand; each block's rows, plus the bias, go straight into the NCHW
@@ -713,17 +742,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
     adds the weight-gradient parts in block order, so every value is the
     same for any W.
     """
-    _require(x.data.ndim == 4, f"conv2d: expected rank-4 input, got {x.shape}")
-    _require(w.data.ndim == 4, f"conv2d: expected rank-4 weight, got {w.shape}")
+    _require(x.data.ndim == 4, "conv2d: expected rank-4 input, got {}", x.shape)
+    _require(w.data.ndim == 4, "conv2d: expected rank-4 weight, got {}", w.shape)
     n, c_in, h, wdt = x.data.shape
     c_out, wc_in, k, k2 = w.data.shape
-    _require(k == k2 and k >= 1, f"conv2d: kernel must be square and K >= 1, got {w.shape}")
+    _require(k == k2 and k >= 1, "conv2d: kernel must be square and K >= 1, got {}", w.shape)
     _require(stride >= 1 and padding >= 0, "conv2d: stride must be >= 1 and padding >= 0")
-    _require(wc_in == c_in,
-             f"conv2d: input has {c_in} channels but weight expects {wc_in}")
+    _require(wc_in == c_in, "conv2d: input has {} channels but weight expects {}",
+             c_in, wc_in)
     _require(b is None or b.shape == (c_out,),
-             f"conv2d: bias shape {None if b is None else b.shape} does not match "
-             f"{c_out} output channels")
+             "conv2d: bias shape {} does not match {} output channels",
+             None if b is None else b.shape, c_out)
     span_h, span_w = h + 2 * padding - k, wdt + 2 * padding - k
     if span_h < 0 or span_w < 0 or span_h % stride or span_w % stride:
         raise ValueError(
@@ -820,7 +849,7 @@ def max_pool2d(x: Tensor, window: int, stride: int) -> Tensor:
     each window's gradient to its first maximum in row-major order; a
     window whose maximum is NaN passes none.
     """
-    _require(x.data.ndim == 4, f"max_pool2d: expected rank-4 input, got {x.shape}")
+    _require(x.data.ndim == 4, "max_pool2d: expected rank-4 input, got {}", x.shape)
     n, c, h, w = x.data.shape
     _require(window >= 1 and stride >= 1, "max_pool2d: window and stride must be >= 1")
     span_h, span_w = h - window, w - window
@@ -878,7 +907,7 @@ def max_pool2d(x: Tensor, window: int, stride: int) -> Tensor:
 
 def global_avg_pool(x: Tensor) -> Tensor:
     """[N, C, H, W] -> [N, C] spatial mean."""
-    _require(x.data.ndim == 4, f"global_avg_pool: expected rank-4 input, got {x.shape}")
+    _require(x.data.ndim == 4, "global_avg_pool: expected rank-4 input, got {}", x.shape)
     return mean_axes(x, (2, 3))
 
 
@@ -913,34 +942,49 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: BatchNormStats,
     """Per-channel batch norm over (N, H, W); biased variance throughout.
 
     Training mode updates the running statistics in place with EMA momentum
-    ``BN_MOMENTUM`` and requires N >= 2.
+    ``BN_MOMENTUM`` and requires N >= 2.  Its statistics are ``np.mean`` and
+    ``np.var`` bit for bit, with the mean taken once: the centred array
+    ``np.var`` squares is also the one scaled in place into x-hat.  Without
+    a graph x-hat is not kept, so gamma and beta are applied to it in place
+    and it becomes the output.
     """
-    _require(x.data.ndim == 4, f"batch_norm2d: expected rank-4 input, got {x.shape}")
+    _require(x.data.ndim == 4, "batch_norm2d: expected rank-4 input, got {}", x.shape)
     n, c, h, w = x.data.shape
     _require(gamma.shape == (c,) and beta.shape == (c,),
-             f"batch_norm2d: gamma/beta must have shape ({c},)")
+             "batch_norm2d: gamma/beta must have shape ({},)", c)
+    # A C-contiguous input is worked on as [N, C, H * W]: one long inner
+    # axis instead of two short ones changes no value.  Any other layout is
+    # kept, since it sets the order in which np.var sums.
+    if x.data.flags.c_contiguous:
+        xs, axes, per_channel = x.data.reshape(n, c, h * w), (0, 2), (1, c, 1)
+    else:
+        xs, axes, per_channel = x.data, (0, 2, 3), (1, c, 1, 1)
     if training:
         if n < 2:
             raise ValueError("batch_norm2d: training mode requires a batch of N >= 2")
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
+        mean = _mean(xs, axes, keepdims=True)
+        xhat = xs - mean
+        var = _mean(xhat * xhat, axes, keepdims=True)
         m = BN_MOMENTUM
         stats.running_mean *= 1.0 - m
-        stats.running_mean += m * mean.astype(stats.running_mean.dtype)
+        stats.running_mean += m * mean.reshape(c).astype(stats.running_mean.dtype)
         stats.running_var *= 1.0 - m
-        stats.running_var += m * var.astype(stats.running_var.dtype)
+        stats.running_var += m * var.reshape(c).astype(stats.running_var.dtype)
     else:
-        mean = stats.running_mean.astype(x.data.dtype)
-        var = stats.running_var.astype(x.data.dtype)
+        xhat = xs - stats.running_mean.astype(x.data.dtype).reshape(per_channel)
+        var = stats.running_var.astype(x.data.dtype).reshape(per_channel)
 
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    out_data = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
-    out = _node(_checked(out_data, "batch_norm2d"), (x, gamma, beta))
+    xhat *= inv_std
+    keep = _grad_enabled and (x.requires_grad or gamma.requires_grad or beta.requires_grad)
+    out_data = np.multiply(xhat, gamma.data.reshape(per_channel), out=None if keep else xhat)
+    out_data += beta.data.reshape(per_channel)
+    out = _node(_checked(out_data.reshape(n, c, h, w), "batch_norm2d"), (x, gamma, beta))
 
     if out.requires_grad:
         gamma_data = gamma.data
         count = n * h * w
+        xhat, inv_std = xhat.reshape(n, c, h, w), inv_std.reshape(1, c, 1, 1)
         def bwd(g):
             gsum = g.sum(axis=(0, 2, 3))
             gx_sum = (g * xhat).sum(axis=(0, 2, 3))
@@ -949,7 +993,7 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: BatchNormStats,
             if beta.requires_grad:
                 _accum(beta, gsum, owned=True)
             if x.requires_grad:
-                coeff = (gamma_data * inv_std)[None, :, None, None]
+                coeff = gamma_data.reshape(1, c, 1, 1) * inv_std
                 if training:
                     gx = coeff * (g - gsum[None, :, None, None] / count
                                   - xhat * gx_sum[None, :, None, None] / count)
@@ -967,7 +1011,7 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: BatchNormStats,
 
 def log_softmax(logits: Tensor) -> Tensor:
     """Row-wise log-softmax of [N, K] logits, stabilized by max subtraction."""
-    _require(logits.data.ndim == 2, f"log_softmax: expected rank-2 input, got {logits.shape}")
+    _require(logits.data.ndim == 2, "log_softmax: expected rank-2 input, got {}", logits.shape)
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.sum(np.exp(z), axis=1, keepdims=True))
     out_data = z - lse
@@ -982,10 +1026,10 @@ def log_softmax(logits: Tensor) -> Tensor:
 
 def pick(a: Tensor, indices: np.ndarray) -> Tensor:
     """Select a[i, indices[i]] for each row i of an [N, K] tensor."""
-    _require(a.data.ndim == 2, f"pick: expected rank-2 input, got {a.shape}")
+    _require(a.data.ndim == 2, "pick: expected rank-2 input, got {}", a.shape)
     n, k = a.data.shape
     idx = np.asarray(indices)
-    _require(idx.shape == (n,), f"pick: expected {n} indices, got shape {idx.shape}")
+    _require(idx.shape == (n,), "pick: expected {} indices, got shape {}", n, idx.shape)
     if idx.size and (idx.min() < 0 or idx.max() >= k):
         raise ValueError(f"pick: index out of range [0, {k})")
     rows = np.arange(n)

@@ -83,6 +83,14 @@ class TestIdx:
         with pytest.raises(D.DataError, match="byte"):
             D.load_idx(str(path), str(path), num_classes=10)
 
+    def test_pixels_scaled_bit_exact(self, tmp_path):
+        imgs = np.random.default_rng(1).integers(0, 256, size=(3, 5, 4))
+        write_idx_images(tmp_path / "img", imgs)
+        write_idx_labels(tmp_path / "lbl", [0, 1, 2])
+        ds = D.load_idx(str(tmp_path / "img"), str(tmp_path / "lbl"), num_classes=3)
+        want = (imgs.astype(np.uint8).astype(np.float32) / 255.0)[:, None]
+        assert ds.images.dtype == np.float32 and np.array_equal(ds.images, want)
+
     def test_record_count_mismatch(self, tmp_path):
         write_idx_images(tmp_path / "img", np.zeros((2, 4, 4)))
         write_idx_labels(tmp_path / "lbl", [1, 0, 1])
@@ -173,6 +181,24 @@ class TestAugment:
         batch = rng.random((2, 3, 8, 8)).astype(np.float32)
         assert np.array_equal(D.pad_crop(batch, 4, 4, pad=4), batch)
 
+    @pytest.mark.parametrize("offset_y,offset_x,message", [
+        (-12, 4, "image 1 has y offset -12 outside [0, 8]"),
+        (4, 9, "image 1 has x offset 9 outside [0, 8]"),
+        (-1, 4, "image 1 has y offset -1 outside [0, 8]")])
+    def test_offset_outside_the_padding_is_rejected(self, offset_y, offset_x, message):
+        batch = np.ones((3, 2, 8, 8), dtype=np.float32)
+        offsets_y, offsets_x = np.full(3, 4), np.full(3, 4)
+        offsets_y[1], offsets_x[1] = offset_y, offset_x
+        with pytest.raises(D.DataError, match=re.escape(message)):
+            D.pad_crop(batch, offsets_y, offsets_x, pad=4)
+
+    def test_extreme_offsets_crop_a_corner(self):
+        batch = np.ones((2, 1, 8, 8), dtype=np.float32)
+        out = D.pad_crop(batch, [0, 8], [0, 8], pad=4)
+        # offset 0 shows the top-left padding, offset 2 * pad the bottom-right
+        assert out[0, 0, 4:, 4:].all() and not out[0, 0, :4].any()
+        assert out[1, 0, :4, :4].all() and not out[1, 0, 4:].any()
+
     def test_seeded_determinism_and_range(self):
         rng_a = np.random.default_rng(4)
         rng_b = np.random.default_rng(4)
@@ -201,6 +227,16 @@ class TestNormalization:
         back = D.denormalize_images(D.normalize_images(images, mean, std),
                                     mean, std)
         assert np.allclose(back, images, atol=1e-6)
+
+
+    def test_bit_equal_to_subtract_then_divide(self):
+        images = np.random.default_rng(7).random((6, 3, 5, 5)).astype(np.float32)
+        before = images.copy()
+        mean, std = D.channel_stats(images)
+        out = D.normalize_images(images, mean, std)
+        want = (images - mean[None, :, None, None]) / std[None, :, None, None]
+        assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+        assert np.array_equal(images, before)
 
 
 class TestStratifiedSplit:

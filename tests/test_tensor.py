@@ -84,6 +84,61 @@ class TestElementwise:
         assert fd_check(build, [a]) < 1e-8
 
 
+class TestReductions:
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+           reduced=st.lists(st.booleans(), min_size=4, max_size=4),
+           layout=st.sampled_from(["contiguous", "transposed", "strided"]),
+           dtype=st.sampled_from(["float32", "float64"]), seed=st.integers(0, 2**16))
+    def test_bit_equal_to_np_sum_and_mean(self, shape, reduced, layout, dtype, seed):
+        # np.mean divides a float32 sum at float64; the ops must round alike
+        data = (np.random.default_rng(seed).normal(size=shape) * 1e3).astype(dtype)
+        if layout == "transposed":
+            data = data.T
+        elif layout == "strided":
+            data = np.repeat(data, 2, axis=-1)[..., ::2]
+        axes = tuple(ax for ax in range(data.ndim) if reduced[ax]) or (0,)
+        with T.default_dtype(dtype):
+            a = leaf(data)
+            assert a.data is data
+            pairs = [(T.sum_all(a), np.sum(data)), (T.mean_all(a), np.mean(data)),
+                     (T.sum_axes(a, axes), np.sum(data, axis=axes)),
+                     (T.mean_axes(a, axes), np.mean(data, axis=axes))]
+        for got, want in pairs:
+            assert type(got.data) is type(want)
+            assert_same_bits(np.asarray(got.data), np.asarray(want))
+
+
+class TestSquaredDistance:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_bit_equal_to_composed_ops(self, dtype):
+        rng = np.random.default_rng(12)
+        a_data = rng.normal(size=(4, 3, 3, 3)).astype(dtype)
+        c = (a_data + 0.05 * rng.normal(size=a_data.shape)).astype(dtype)
+        results = []
+        with T.default_dtype(dtype):
+            for fused in (True, False):
+                a = leaf(a_data)
+                term = (T.squared_distance(a, c) if fused
+                        else T.sum_all(T.square(T.sub(a, leaf(c, requires_grad=False)))))
+                T.scale(term, 1.7).backward()
+                results.append((np.asarray(term.data), a.grad))
+        for got, want in zip(*results):
+            assert_same_bits(got, want)
+
+    def test_records_one_node(self):
+        a = leaf(np.ones((2, 3)))
+        assert T.squared_distance(a, np.zeros((2, 3)))._parents == (a,)
+        with pytest.raises(ValueError, match=r"squared_distance: shape mismatch \(2, 3\)"):
+            T.squared_distance(a, np.zeros(6))
+
+    def test_gradient_oracle(self):
+        rng = np.random.default_rng(13)
+        a = leaf(rng.normal(size=(3, 4)))
+        c = rng.normal(size=(3, 4))
+        assert fd_check(lambda: T.squared_distance(a, c), [a]) < 1e-8
+
+
 class TestDense:
     def test_identity(self):
         x = leaf([[1.0, 2.0], [3.0, 4.0]], requires_grad=False)
@@ -189,6 +244,19 @@ def conv_loops(x, w, b, g, stride, padding):
     return out, dx, dw, g.sum(axis=(0, 2, 3))
 
 
+def columns_slab_loop(xp, k, stride, h_out, w_out):
+    """im2col columns of a padded NCHW block, [C_in * K * K, N * Ho * Wo],
+    built by one strided slab copy per kernel offset (i, j)."""
+    nb, c_in = xp.shape[:2]
+    cols = np.empty((c_in, k, k, nb, h_out, w_out), dtype=xp.dtype)
+    by_channel = xp.transpose(1, 0, 2, 3)
+    for i in range(k):
+        for j in range(k):
+            cols[:, i, j] = by_channel[..., i:i + stride * (h_out - 1) + 1:stride,
+                                       j:j + stride * (w_out - 1) + 1:stride]
+    return cols.reshape(c_in * k * k, nb * h_out * w_out)
+
+
 # (N, C_in, H = W, C_out, K, padding, dtype) of the backbones' convs
 BACKBONE_CONVS = [
     # tiny_vgg at 32x32, batch 64: conv1 to conv4
@@ -242,6 +310,23 @@ class TestConv2dReference:
         ref += b.data[None, :, None, None]
         assert out.data.dtype == np.dtype(dtype)
         assert np.array_equal(out.data, ref)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_columns_equal_slab_loop(self, dtype, k, stride, padding):
+        rng = np.random.default_rng(20 + 9 * k + 3 * stride + padding)
+        x = rng.normal(size=(3, 2, 7, 9)).astype(dtype)
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        h_out = (xp.shape[2] - k) // stride + 1
+        w_out = (xp.shape[3] - k) // stride + 1
+        size = 2 * k * k * 3 * h_out * w_out
+        out = np.full(size + 5, np.nan, dtype=dtype)
+        got = T._columns(xp, k, stride, h_out, w_out, out)
+        assert_same_bits(got, columns_slab_loop(xp, k, stride, h_out, w_out))
+        # written into the leading elements of out, and nowhere else
+        assert np.shares_memory(got, out) and np.isnan(out[size:]).all()
 
     def test_image_blocks_change_no_value(self, monkeypatch):
         rng = np.random.default_rng(9)
@@ -464,8 +549,10 @@ class TestConv2dPool:
         for got, want in zip(results[0], inline):
             assert np.array_equal(got, want)
 
-    # The second block of the forward, then of the weight gradient, of 7:
-    # the other worker has blocks left to queue when the caller stops.
+    # The second _columns call of the forward, then of the weight gradient,
+    # of 7 blocks (block 1 or 2, whichever worker gets there first): the
+    # other worker still has blocks of its own to run when the failing one
+    # stops, and the caller raises once both have returned.
     @pytest.mark.parametrize("fail_at", [1, 8])
     def test_worker_exception_reaches_the_caller(self, pool_width, monkeypatch, fail_at):
         rng = np.random.default_rng(44)
@@ -583,6 +670,33 @@ class TestPooling:
         assert np.allclose(out.data, [[1.5, 5.5]])
 
 
+def batch_norm_reference(x, gamma, beta, running_mean, running_var, training, g):
+    """Batch norm composed from np.mean and np.var: the output, the running
+    statistics (updated in place) and, for output gradient ``g``, the
+    gradients of x, gamma and beta."""
+    if training:
+        mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+        running_mean *= 1.0 - T.BN_MOMENTUM
+        running_mean += T.BN_MOMENTUM * mean.astype(running_mean.dtype)
+        running_var *= 1.0 - T.BN_MOMENTUM
+        running_var += T.BN_MOMENTUM * var.astype(running_var.dtype)
+    else:
+        mean, var = running_mean.astype(x.dtype), running_var.astype(x.dtype)
+    inv_std = 1.0 / np.sqrt(var + T.BN_EPS)
+    xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+    out = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    count = x.shape[0] * x.shape[2] * x.shape[3]
+    gsum = g.sum(axis=(0, 2, 3))
+    gx_sum = (g * xhat).sum(axis=(0, 2, 3))
+    coeff = (gamma * inv_std)[None, :, None, None]
+    if training:
+        gx = coeff * (g - gsum[None, :, None, None] / count
+                      - xhat * gx_sum[None, :, None, None] / count)
+    else:
+        gx = coeff * g
+    return out, gx, gx_sum, gsum
+
+
 class TestBatchNorm:
     def test_constant_channel_is_zeroed(self):
         x = leaf(np.full((2, 1, 2, 2), 7.0), requires_grad=False)
@@ -607,6 +721,39 @@ class TestBatchNorm:
         assert np.array_equal(stats.running_mean, before[0])
         T.batch_norm2d(x, gamma, beta, stats, training=True)
         assert not np.array_equal(stats.running_mean, before[0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 4), c=st.integers(1, 5), h=st.integers(1, 6), w=st.integers(1, 6),
+           training=st.booleans(), contiguous=st.booleans(),
+           dtype=st.sampled_from(["float32", "float64"]), seed=st.integers(0, 2**16))
+    def test_bit_equal_to_mean_var_composition(self, n, c, h, w, training, contiguous,
+                                               dtype, seed):
+        rng = np.random.default_rng(seed)
+        x = (rng.normal(size=(n, c, w, h)) * rng.exponential(5.0, size=(1, c, 1, 1))
+             + rng.normal(size=(1, c, 1, 1)) * 3.0).astype(dtype).transpose(0, 1, 3, 2)
+        if contiguous:
+            x = np.ascontiguousarray(x)
+        gamma, beta = rng.normal(size=(2, c)).astype(dtype)
+        g = rng.normal(size=(n, c, h, w)).astype(dtype)
+        with T.default_dtype(dtype):
+            stats = T.BatchNormStats(c)
+            stats.running_mean[:] = rng.normal(size=c)
+            stats.running_var[:] = 0.5 + rng.random(c)
+            ref_mean, ref_var = stats.snapshot()
+            want = batch_norm_reference(x, gamma, beta, ref_mean, ref_var, training, g)
+            xt, gt, bt = leaf(x), leaf(gamma), leaf(beta)
+            snap = stats.snapshot()
+            with T.no_grad():
+                eval_out = T.batch_norm2d(xt, gt, bt, stats, training).data
+            stats.restore(snap)
+            out = T.batch_norm2d(xt, gt, bt, stats, training)
+            T.sum_all(T.mul_const(out, g)).backward()
+        for got, expected in zip((out.data, xt.grad, gt.grad, bt.grad), want):
+            assert_same_bits(got, expected)
+        # without a graph the output is made in place, with the same bits
+        assert_same_bits(eval_out, want[0])
+        assert_same_bits(stats.running_mean, ref_mean)
+        assert_same_bits(stats.running_var, ref_var)
 
     def test_gradient_oracle_training(self):
         rng = np.random.default_rng(7)
