@@ -22,7 +22,6 @@ builds im2col columns from it by one copy from a strided view; only its
 input gradient gathers in NHWC, from the dilated output gradient, also a
 block at a time.  Its forward matches the ``np.tensordot`` contraction bit
 for bit on every backbone shape, but not on every shape (see ``conv2d``).
-``batch_norm2d`` works on a contiguous input as [N, C, H * W].
 
 Per-call cost: the FD gradient check runs thousands of forwards of tiny
 batches, where an op's fixed cost outweighs its arithmetic.  So the
@@ -952,18 +951,12 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: BatchNormStats,
     n, c, h, w = x.data.shape
     _require(gamma.shape == (c,) and beta.shape == (c,),
              "batch_norm2d: gamma/beta must have shape ({},)", c)
-    # A C-contiguous input is worked on as [N, C, H * W]: one long inner
-    # axis instead of two short ones changes no value.  Any other layout is
-    # kept, since it sets the order in which np.var sums.
-    if x.data.flags.c_contiguous:
-        xs, axes, per_channel = x.data.reshape(n, c, h * w), (0, 2), (1, c, 1)
-    else:
-        xs, axes, per_channel = x.data, (0, 2, 3), (1, c, 1, 1)
+    axes, per_channel = (0, 2, 3), (1, c, 1, 1)
     if training:
         if n < 2:
             raise ValueError("batch_norm2d: training mode requires a batch of N >= 2")
-        mean = _mean(xs, axes, keepdims=True)
-        xhat = xs - mean
+        mean = _mean(x.data, axes, keepdims=True)
+        xhat = x.data - mean
         var = _mean(xhat * xhat, axes, keepdims=True)
         m = BN_MOMENTUM
         stats.running_mean *= 1.0 - m
@@ -971,7 +964,7 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: BatchNormStats,
         stats.running_var *= 1.0 - m
         stats.running_var += m * var.reshape(c).astype(stats.running_var.dtype)
     else:
-        xhat = xs - stats.running_mean.astype(x.data.dtype).reshape(per_channel)
+        xhat = x.data - stats.running_mean.astype(x.data.dtype).reshape(per_channel)
         var = stats.running_var.astype(x.data.dtype).reshape(per_channel)
 
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
@@ -979,12 +972,11 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: BatchNormStats,
     keep = _grad_enabled and (x.requires_grad or gamma.requires_grad or beta.requires_grad)
     out_data = np.multiply(xhat, gamma.data.reshape(per_channel), out=None if keep else xhat)
     out_data += beta.data.reshape(per_channel)
-    out = _node(_checked(out_data.reshape(n, c, h, w), "batch_norm2d"), (x, gamma, beta))
+    out = _node(_checked(out_data, "batch_norm2d"), (x, gamma, beta))
 
     if out.requires_grad:
         gamma_data = gamma.data
         count = n * h * w
-        xhat, inv_std = xhat.reshape(n, c, h, w), inv_std.reshape(1, c, 1, 1)
         def bwd(g):
             gsum = g.sum(axis=(0, 2, 3))
             gx_sum = (g * xhat).sum(axis=(0, 2, 3))
