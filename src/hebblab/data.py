@@ -19,7 +19,6 @@ class Dataset:
     images: np.ndarray            # [M, C, H, W] float32 in [0, 1]
     labels: np.ndarray            # [M] int64
     num_classes: int
-    split: str = ""
 
     def __len__(self) -> int:
         return int(self.images.shape[0])
@@ -61,7 +60,6 @@ class SyntheticSpec:
     samples_per_class: int = 625
     noise: float = 0.25
     seed: int = 0
-    split: str = ""
 
 
 _BLOB_CENTERS = ((0.30, 0.30), (0.70, 0.70), (0.30, 0.70), (0.70, 0.30))
@@ -108,8 +106,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
             images[row] = np.clip(img, 0.0, 1.0)
             labels[row] = cls
             row += 1
-    ds = Dataset(images=images, labels=labels, num_classes=spec.num_classes,
-                 split=spec.split)
+    ds = Dataset(images=images, labels=labels, num_classes=spec.num_classes)
     ds.validate()
     return ds
 
@@ -145,8 +142,7 @@ def _read_idx_array(path: str, expect_ndim: int) -> np.ndarray:
     return np.frombuffer(blob, dtype=np.uint8, offset=header_end).reshape(dims)
 
 
-def load_idx(images_path: str, labels_path: str, num_classes: int,
-             split: str = "") -> Dataset:
+def load_idx(images_path: str, labels_path: str, num_classes: int) -> Dataset:
     """Load an IDX ubyte image/label pair (images magic 0x00000803).
 
     ``num_classes`` comes from the caller (the config), not from the
@@ -162,8 +158,7 @@ def load_idx(images_path: str, labels_path: str, num_classes: int,
     _check_labels(labels, num_classes, labels_path)
     images = raw.astype(np.float32)[:, None, :, :]
     images /= 255.0  # in place: no second full-size array
-    ds = Dataset(images=images, labels=labels.astype(np.int64),
-                 num_classes=num_classes, split=split)
+    ds = Dataset(images=images, labels=labels.astype(np.int64), num_classes=num_classes)
     ds.validate()
     return ds
 
@@ -175,7 +170,7 @@ def load_idx(images_path: str, labels_path: str, num_classes: int,
 _CIFAR_PIXELS = 3 * 32 * 32
 
 
-def load_cifar_binary(paths, variant: str = "cifar10", split: str = "") -> Dataset:
+def load_cifar_binary(paths, variant: str = "cifar10") -> Dataset:
     """Load CIFAR binary record files: one path (``str`` or path-like), or
     an iterable of several, in order.
 
@@ -214,8 +209,7 @@ def load_cifar_binary(paths, variant: str = "cifar10", split: str = "") -> Datas
         all_images.append(images)
 
     labels = np.concatenate(all_labels)
-    ds = Dataset(images=np.concatenate(all_images), labels=labels,
-                 num_classes=num_classes, split=split)
+    ds = Dataset(images=np.concatenate(all_images), labels=labels, num_classes=num_classes)
     ds.validate()
     return ds
 
@@ -225,22 +219,26 @@ def load_cifar_binary(paths, variant: str = "cifar10", split: str = "") -> Datas
 # ---------------------------------------------------------------------------
 
 
-def pad_crop(images: np.ndarray, offsets_y, offsets_x, pad: int = 4) -> np.ndarray:
-    """Zero-pad by ``pad`` and crop back at the given per-image offsets.
+# zero padding of the random crop: a crop offset lies in [0, 2 * CROP_PAD]
+CROP_PAD = 4
 
-    Offset ``(pad, pad)`` is the identity crop; an offset outside
-    ``[0, 2 * pad]`` raises ``DataError`` naming the first such image.
+
+def pad_crop(images: np.ndarray, offsets_y, offsets_x) -> np.ndarray:
+    """Zero-pad by ``CROP_PAD`` and crop back at the given per-image offsets.
+
+    Offset ``(CROP_PAD, CROP_PAD)`` is the identity crop; an offset outside
+    ``[0, 2 * CROP_PAD]`` raises ``DataError`` naming the first such image.
     """
     n, _, h, w = images.shape
     offsets_y = np.broadcast_to(np.asarray(offsets_y), (n,))
     offsets_x = np.broadcast_to(np.asarray(offsets_x), (n,))
     for axis, offsets in (("y", offsets_y), ("x", offsets_x)):
-        outside = np.flatnonzero((offsets < 0) | (offsets > 2 * pad))
+        outside = np.flatnonzero((offsets < 0) | (offsets > 2 * CROP_PAD))
         if outside.size:
             i = int(outside[0])
             raise DataError(f"pad_crop: image {i} has {axis} offset {offsets[i]} "
-                            f"outside [0, {2 * pad}]")
-    padded = np.pad(images, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+                            f"outside [0, {2 * CROP_PAD}]")
+    padded = np.pad(images, ((0, 0), (0, 0), (CROP_PAD, CROP_PAD), (CROP_PAD, CROP_PAD)))
     out = np.empty_like(images)
     for i in range(n):
         oy, ox = int(offsets_y[i]), int(offsets_x[i])
@@ -249,8 +247,9 @@ def pad_crop(images: np.ndarray, offsets_y, offsets_x, pad: int = 4) -> np.ndarr
 
 
 def augment_batch(images: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Per-image independent horizontal flip (p = 0.5), then a zero-pad by 4
-    and a crop at one of the 9 x 9 offsets, drawn uniformly.
+    """Per-image independent horizontal flip (p = 0.5), then a zero-pad by
+    ``CROP_PAD`` and a crop at one of the (2 * CROP_PAD + 1)^2 offsets, drawn
+    uniformly.
 
     Draw order is fixed (flips, then crop offsets) so a seeded generator
     reproduces the exact augmentation stream.
@@ -258,7 +257,7 @@ def augment_batch(images: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     out = images.copy()
     mask = rng.random(images.shape[0]) < 0.5
     out[mask] = out[mask, :, :, ::-1]
-    offs = rng.integers(0, 9, size=(images.shape[0], 2))
+    offs = rng.integers(0, 2 * CROP_PAD + 1, size=(images.shape[0], 2))
     return pad_crop(out, offs[:, 0], offs[:, 1])
 
 
@@ -302,9 +301,9 @@ def stratified_split(dataset: Dataset, fraction: float,
         second_idx.append(perm[take:])
     first = np.sort(np.concatenate(first_idx))
     second = np.sort(np.concatenate(second_idx))
-    make = lambda sel, tag: replace(  # noqa: E731
-        dataset, images=dataset.images[sel], labels=dataset.labels[sel], split=tag)
-    return make(first, "train"), make(second, "val")
+    make = lambda sel: replace(  # noqa: E731
+        dataset, images=dataset.images[sel], labels=dataset.labels[sel])
+    return make(first), make(second)
 
 
 def check_pairable(dataset: Dataset) -> None:

@@ -6,8 +6,9 @@ value.  Each closure evaluates its phase loss once to read that base value
 (``LossBreakdown.gate_input``) and then passes it back as ``gate_input`` on
 every probe, which is exactly the function whose true derivative the
 backward pass computes.  The objectives themselves are defined only in
-``losses``.  Batch-norm running statistics are restored around every
-evaluation so repeated forward passes see identical state.
+``losses``.  The probes run train-mode forwards, which normalise by the
+batch statistics and only write the running statistics, never read them,
+so repeated evaluations see the same function without any state restored.
 """
 
 from __future__ import annotations
@@ -22,24 +23,17 @@ from . import tensor as T
 from .config import TrainConfig
 
 
-def _frozen_gate(model: M.ModelState, loss):
+def _frozen_gate(loss):
     """Closure over ``loss(gate_input)`` with the gate input fixed at the
     value the unfrozen loss reads at the current parameters."""
-    bn_snap = model.snapshot_bn()
     gate = loss(None).gate_input
-    model.restore_bn(bn_snap)
-
-    def build():
-        model.restore_bn(bn_snap)
-        return loss(gate).total
-
-    return build
+    return lambda: loss(gate).total
 
 
 def phase1_closure(model: M.ModelState, nm: M.ParamSet,
                    x: np.ndarray, labels: np.ndarray, config: TrainConfig):
     """Closure computing the phase-1 objective with a frozen gate input."""
-    return _frozen_gate(model, lambda gate: L.phase1_loss(
+    return _frozen_gate(lambda gate: L.phase1_loss(
         M.forward(model, x, "train"), labels, nm, config, gate_input=gate))
 
 
@@ -48,7 +42,7 @@ def phase2_closure(model: M.ModelState, nm: M.ParamSet,
                    labels_b: np.ndarray, frozen: dict[str, np.ndarray],
                    config: TrainConfig):
     """Closure computing the phase-2 objective with a frozen gate input."""
-    return _frozen_gate(model, lambda gate: L.phase2_loss(
+    return _frozen_gate(lambda gate: L.phase2_loss(
         M.forward(model, x_a, "train"), M.forward(model, x_b, "train"),
         labels_a, labels_b, model, frozen, nm, config, gate_input=gate))
 

@@ -93,20 +93,23 @@ def hebbian_regularizer(activation: Tensor, weight: Tensor) -> Tensor:
 
 def pairwise_margin_loss(emb_a: Tensor, emb_b: Tensor, same_class,
                          margin: float) -> Tensor:
-    """Contrastive pair loss, averaged over the pair batch.
+    """Contrastive pair loss over [N, D] embeddings and a same-class flag
+    per pair, averaged over the pair batch.
 
     Same class: squared distance.  Different class: squared hinge
     [max(0, margin - distance)]^2.
     """
     if margin <= 0:
         raise ValueError("margin must be > 0")
-    if emb_a.data.ndim == 1:
-        emb_a = T.reshape(emb_a, (1, emb_a.shape[0]))
-        emb_b = T.reshape(emb_b, (1, emb_b.shape[0]))
+    if emb_a.data.ndim != 2:
+        raise ValueError(f"pairwise_margin_loss: expected [N, D] embeddings, got {emb_a.shape}")
     if emb_a.shape != emb_b.shape:
         raise ValueError(f"embedding dimension mismatch: {emb_a.shape} vs {emb_b.shape}")
     n = emb_a.shape[0]
-    same = np.broadcast_to(np.asarray(same_class, dtype=bool), (n,))
+    same = np.asarray(same_class, dtype=bool)
+    if same.shape != (n,):
+        raise ValueError(f"pairwise_margin_loss: expected same_class of shape ({n},), "
+                         f"got {same.shape}")
     same_f = same.astype(emb_a.data.dtype)
 
     d2 = T.sum_axes(T.square(T.sub(emb_a, emb_b)), (1,))

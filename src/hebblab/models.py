@@ -135,11 +135,10 @@ def build_mini_resnet(num_classes: int, input_channels: int = 3,
                       input_size: int = 32, seed: int = 0) -> ModelState:
     """Stem conv + two stages of two residual blocks (16 -> 32 channels).
 
-    The stage boundary downsamples with a 2x2 max pool (stride-2 3x3 convs
-    would need a non-integral output size on even inputs) and the first
-    stage-2 block widens channels through a 1x1 projection shortcut.  The
-    final 3x3 conv of stage 2 (s2b2_conv2) carries the Hebbian regularizer;
-    its tap is the post-ReLU block output.
+    The stage boundary downsamples with a 2x2 max pool (every conv runs at
+    stride 1) and the first stage-2 block widens channels through a 1x1
+    projection shortcut.  The final 3x3 conv of stage 2 (s2b2_conv2)
+    carries the Hebbian regularizer; its tap is the post-ReLU block output.
     """
     _check_input_size(input_size, num_classes)
     rng = np.random.default_rng(seed)
@@ -211,9 +210,9 @@ def _forward_tiny_vgg(model: ModelState, x: Tensor, training: bool) -> ForwardTa
     p = model.params
     h = T.conv2d(x, p["conv1_w"], p["conv1_b"], padding=1, relu=True)
     hebb = T.conv2d(h, p["conv2_w"], p["conv2_b"], padding=1, relu=True)
-    h = T.max_pool2d(hebb, 2, 2)
+    h = T.max_pool2d(hebb)
     h = T.conv2d(h, p["conv3_w"], p["conv3_b"], padding=1, relu=True)
-    h = T.max_pool2d(h, 2, 2)
+    h = T.max_pool2d(h)
     h = T.conv2d(h, p["conv4_w"], p["conv4_b"], padding=1, relu=True)
     pooled = T.global_avg_pool(h)
     embedding = T.relu(T.dense(pooled, p["embed_w"], p["embed_b"]))
@@ -247,7 +246,7 @@ def _forward_mini_resnet(model: ModelState, x: Tensor, training: bool) -> Forwar
                               bn["stem_bn"], training))
     h = _res_block(model, h, "s1b1", training)
     h = _res_block(model, h, "s1b2", training)
-    h = T.max_pool2d(h, 2, 2)
+    h = T.max_pool2d(h)
     h = _res_block(model, h, "s2b1", training, project=True)
     hebb = _res_block(model, h, "s2b2", training)
     pooled = T.global_avg_pool(hebb)

@@ -19,9 +19,11 @@ run this way.
 Layout: every op takes and returns NCHW arrays, and works on them in NCHW.
 ``conv2d`` zero-pads a block of images at a time into one reused buffer and
 builds im2col columns from it by one copy from a strided view; only its
-input gradient gathers in NHWC, from the dilated output gradient, also a
-block at a time.  Its forward matches the ``np.tensordot`` contraction bit
-for bit on every backbone shape, but not on every shape (see ``conv2d``).
+input gradient gathers in NHWC, from the output gradient padded by K - 1,
+also a block at a time.  Every convolution runs at stride 1 and every
+pooling window is 2x2 at stride 2, the only geometry the backbones use.
+Its forward matches the ``np.tensordot`` contraction bit for bit on every
+backbone shape, but not on every shape (see ``conv2d``).
 
 Per-call cost: the FD gradient check runs thousands of forwards of tiny
 batches, where an op's fixed cost outweighs its arithmetic.  So the
@@ -554,14 +556,6 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def _offset_view(a: np.ndarray, i: int, j: int, stride: int, h_out: int,
-                 w_out: int) -> np.ndarray:
-    """The [..., Ho, Wo] view of ``a`` holding, for every window, the element
-    at offset (i, j) inside it."""
-    return a[..., i:i + stride * (h_out - 1) + 1:stride,
-             j:j + stride * (w_out - 1) + 1:stride]
-
-
 # Bytes of im2col columns gathered per GEMM: a block this size is still in
 # the core's cache when the GEMM reads it back.
 _COLUMN_BLOCK_BYTES = 4 << 20
@@ -577,15 +571,15 @@ def _leading(flat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return flat[:math.prod(shape)].reshape(shape)
 
 
-def _columns(xp: np.ndarray, k: int, stride: int, h_out: int, w_out: int,
+def _columns(xp: np.ndarray, k: int, h_out: int, w_out: int,
              out: np.ndarray) -> np.ndarray:
     """im2col columns of a block of padded NCHW images as a
     [C_in * K * K, nb * Ho * Wo] matrix, rows in (C_in, K, K) order, written
     into the leading elements of the 1-d array ``out``.
 
     One copy from a strided view of ``xp``, which must be C-contiguous, that
-    reads element (c, i, j, n, y, x) at ``xp[n, c, i + stride * y, j + stride
-    * x]``; its inner runs lie along W, and no window is copied on its own.
+    reads element (c, i, j, n, y, x) at ``xp[n, c, i + y, j + x]``; its inner
+    runs lie along W, and no window is copied on its own.
     (``np.ndarray`` over ``xp``'s buffer makes the view in a tenth of
     ``as_strided``'s time, and checks that it stays inside the buffer.)
     """
@@ -593,7 +587,7 @@ def _columns(xp: np.ndarray, k: int, stride: int, h_out: int, w_out: int,
     cols = _leading(out, (c_in, k, k, nb, h_out, w_out))
     s_n, s_c, s_h, s_w = xp.strides
     np.copyto(cols, np.ndarray(cols.shape, xp.dtype, xp, 0,
-                               (s_c, s_h, s_w, s_n, s_h * stride, s_w * stride)))
+                               (s_c, s_h, s_w, s_n, s_h, s_w)))
     return cols.reshape(c_in * k * k, nb * h_out * w_out)
 
 
@@ -698,9 +692,10 @@ def _map_blocks(src: np.ndarray, col_elems: int, row_elems: int,
         yield results[j % width][j // width]
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
-           padding: int = 0, relu: bool = False) -> Tensor:
-    """Cross-correlation of [N, C_in, H, W] with [C_out, C_in, K, K] filters.
+def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, padding: int = 0,
+           relu: bool = False) -> Tensor:
+    """Cross-correlation at stride 1 of [N, C_in, H, W] with [C_out, C_in, K,
+    K] filters, zero-padded by ``padding``.
 
     im2col, a block of images at a time: the forward and the weight gradient
     zero-pad each block into a reused NCHW buffer (``_map_blocks``) and
@@ -715,13 +710,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
     1, most outputs differ by one rounding (up to 1.6e-7 of the largest
     output at float32, 4e-16 at float64).  The weight gradient sums
     ``cols @ g`` over the blocks.  The input gradient is the full
-    correlation of the stride-dilated output gradient with the flipped
-    kernel, gathered in NHWC (the only NHWC arrays here), so no K x K
-    scatter is needed; it too runs a block of images at a time.  No
-    whole-batch array is made besides the output and the input gradient.  A
-    GEMM reduces each output element in an order that does not depend on
-    its row count, so the blocks change no forward value and no input
-    gradient (the tests pin this).  ``b=None`` adds no bias.
+    correlation of the output gradient with the flipped kernel, gathered in
+    NHWC (the only NHWC arrays here), so no K x K scatter is needed; it too
+    runs a block of images at a time.  No whole-batch array is made besides
+    the output and the input gradient.  A GEMM reduces each output element
+    in an order that does not depend on its row count, so the blocks change
+    no forward value and no input gradient (the tests pin this).  ``b=None``
+    adds no bias.
 
     ``relu=True`` is ``relu(conv2d(...))`` bit for bit, in the output and in
     all three gradients, as one op: each forward block clamps its own slice
@@ -746,18 +741,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
     n, c_in, h, wdt = x.data.shape
     c_out, wc_in, k, k2 = w.data.shape
     _require(k == k2 and k >= 1, "conv2d: kernel must be square and K >= 1, got {}", w.shape)
-    _require(stride >= 1 and padding >= 0, "conv2d: stride must be >= 1 and padding >= 0")
+    _require(padding >= 0, "conv2d: padding must be >= 0, got {}", padding)
     _require(wc_in == c_in, "conv2d: input has {} channels but weight expects {}",
              c_in, wc_in)
     _require(b is None or b.shape == (c_out,),
              "conv2d: bias shape {} does not match {} output channels",
              None if b is None else b.shape, c_out)
-    span_h, span_w = h + 2 * padding - k, wdt + 2 * padding - k
-    if span_h < 0 or span_w < 0 or span_h % stride or span_w % stride:
-        raise ValueError(
-            f"conv2d: output size not a positive integer for input {x.shape}, "
-            f"kernel {k}, stride {stride}, padding {padding}")
-    h_out, w_out = span_h // stride + 1, span_w // stride + 1
+    h_out, w_out = h + 2 * padding - k + 1, wdt + 2 * padding - k + 1
+    _require(h_out >= 1 and w_out >= 1,
+             "conv2d: kernel {} exceeds input {} padded by {}", w.shape, x.shape, padding)
     x_data = x.data
     # the blocks of the forward and the weight gradient: the input, zero-padded,
     # with room for its columns and for one [Ho * Wo, C_out] matrix per image
@@ -769,7 +761,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
     out_data = np.empty((n, c_out, h_out, w_out), dtype=x_data.dtype)
 
     def forward_block(i, xp, cols, rows):
-        cols = _columns(xp, k, stride, h_out, w_out, cols)
+        cols = _columns(xp, k, h_out, w_out, cols)
         rows = np.matmul(cols.T, w_cols, out=_leading(rows, (cols.shape[1], c_out)))
         rows = rows.reshape(-1, h_out, w_out, c_out).transpose(0, 3, 1, 2)
         dst = out_data[i:i + len(xp)]
@@ -800,8 +792,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
                         np.multiply(g_block, out_data[i:i + len(xp)] > 0, out=g_block)
                     g_rows = _leading(rows, (len(xp), h_out, w_out, c_out))
                     np.copyto(g_rows, g_nhwc[i:i + len(xp)])
-                    return _columns(xp, k, stride, h_out, w_out, cols) \
-                        @ g_rows.reshape(-1, c_out)
+                    return _columns(xp, k, h_out, w_out, cols) @ g_rows.reshape(-1, c_out)
 
                 # summed over the blocks in block order, as [C_in * K * K,
                 # C_out]: that GEMM layout runs faster than its transpose
@@ -811,14 +802,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
             if b is not None and b.requires_grad:
                 _accum(b, g.sum(axis=(0, 2, 3)), owned=True)
             if x.requires_grad:
-                # dx is the full correlation of the stride-dilated gradient
-                # with the flipped kernel.  gd holds g at (K-1) + stride * o
-                # in padded-input coordinates, so the window starting at y
-                # covers every output that read input row y; only windows
-                # starting inside the unpadded input are gathered.
+                # dx is the full correlation of the gradient with the flipped
+                # kernel.  gd is g padded by K - 1, so it holds output o at
+                # (K-1) + o in padded-input coordinates, and the window
+                # starting at y covers every output that read input row y;
+                # only windows starting inside the unpadded input are gathered.
                 w_flip = w_data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, c_in)
-                dilated = (span_h + 2 * k - 1, span_w + 2 * k - 1, c_out)
-                at_outputs = (slice(k - 1, k + span_h, stride), slice(k - 1, k + span_w, stride))
+                framed = (h_out + 2 * k - 2, w_out + 2 * k - 2, c_out)
+                at_outputs = (slice(k - 1, k - 1 + h_out), slice(k - 1, k - 1 + w_out))
                 dx = np.empty((n, c_in, h, wdt), dtype=g.dtype)
 
                 def dx_block(i, gd, cols, rows):
@@ -833,72 +824,48 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1,
                     dx[i:i + len(gd)] = rows.reshape(-1, h, wdt, c_in).transpose(0, 3, 1, 2)
 
                 for _ in _map_blocks(g_nhwc, h * wdt * k * k * c_out, h * wdt * c_in,
-                                     dilated, at_outputs, dx_block):
+                                     framed, at_outputs, dx_block):
                     pass
                 _accum(x, dx, owned=True)
         out._backward = bwd
     return out
 
 
-def max_pool2d(x: Tensor, window: int, stride: int) -> Tensor:
-    """Max over [window, window] windows at ``stride``; NaN propagates.
+def max_pool2d(x: Tensor) -> Tensor:
+    """Max over 2x2 windows at stride 2; NaN propagates.
 
-    The forward is a running ``np.maximum`` over the window * window offset
-    views, so no window is copied and no index is kept.  The backward gives
-    each window's gradient to its first maximum in row-major order; a
-    window whose maximum is NaN passes none.
+    The forward is a running ``np.maximum`` over the four offset views
+    ``x[..., i::2, j::2]``, so no window is copied and no index is kept.
+    The backward gives each window's gradient to its first maximum in
+    row-major order; a window whose maximum is NaN passes none.
     """
     _require(x.data.ndim == 4, "max_pool2d: expected rank-4 input, got {}", x.shape)
     n, c, h, w = x.data.shape
-    _require(window >= 1 and stride >= 1, "max_pool2d: window and stride must be >= 1")
-    span_h, span_w = h - window, w - window
-    if span_h < 0 or span_w < 0 or span_h % stride or span_w % stride:
-        raise ValueError(
-            f"max_pool2d: output size not a positive integer for input {x.shape}, "
-            f"window {window}, stride {stride}")
-    h_out, w_out = span_h // stride + 1, span_w // stride + 1
-    offsets = [(i, j) for i in range(window) for j in range(window)]
-
-    def view(a, i, j):
-        return _offset_view(a, i, j, stride, h_out, w_out)
-
+    _require(h % 2 == 0 and w % 2 == 0 and h >= 2 and w >= 2,
+             "max_pool2d: H and W must be even and at least 2, got {}", x.shape)
+    offsets = ((0, 0), (0, 1), (1, 0), (1, 1))
     x_data = x.data
-    out_data = view(x_data, 0, 0).copy()
+    out_data = x_data[..., ::2, ::2].copy()
     for i, j in offsets[1:]:
         # on a tie np.maximum returns its second operand, so the earlier
         # offset keeps its bits (+0.0 against -0.0)
-        np.maximum(view(x_data, i, j), out_data, out=out_data)
+        np.maximum(x_data[..., i::2, j::2], out_data, out=out_data)
     out = _node(_checked(out_data, "max_pool2d"), (x,))
 
     if out.requires_grad:
-        def taken():
-            """Yield each offset with the windows whose gradient it takes:
-            those where it holds the maximum and no earlier offset did
-            (``free`` marks the windows not yet taken; a hit lies inside
-            it, so xor removes it).  Every offset gets the same buffer."""
+        def bwd(g):
+            # the windows tile the input, so the offsets write all of gx
+            gx = np.empty((n, c, h, w), dtype=g.dtype)
+            # an offset takes the windows where it holds the maximum and no
+            # earlier offset did: ``free`` marks the windows not yet taken,
+            # and a hit lies inside it, so xor removes it
             free = np.ones(out_data.shape, dtype=bool)
             hit = np.empty_like(free)
             for i, j in offsets:
-                np.equal(view(x_data, i, j), out_data, out=hit)
+                np.equal(x_data[..., i::2, j::2], out_data, out=hit)
                 hit &= free
                 free ^= hit
-                yield (i, j), hit
-
-        def bwd(g):
-            # windows that tile the input cover every element of gx
-            gx = (np.empty if window == stride else np.zeros)((n, c, h, w), dtype=g.dtype)
-            if window <= stride:
-                # disjoint windows: each input element takes at most one
-                # window's gradient, from one offset
-                for (i, j), hit in taken():
-                    np.multiply(g, hit, out=view(gx, i, j))
-            else:
-                # last offset first: an input that several overlapping
-                # windows feed receives their gradients in window order, as
-                # np.add.at would add them
-                for (i, j), hit in reversed([(o, hit.copy()) for o, hit in taken()]):
-                    target = view(gx, i, j)
-                    target += g * hit
+                np.multiply(g, hit, out=gx[..., i::2, j::2])
             _accum(x, gx, owned=True)
         out._backward = bwd
     return out
@@ -951,6 +918,10 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: BatchNormStats,
     n, c, h, w = x.data.shape
     _require(gamma.shape == (c,) and beta.shape == (c,),
              "batch_norm2d: gamma/beta must have shape ({},)", c)
+    # checked before training mode writes to them
+    _require(stats.running_mean.shape == stats.running_var.shape == (c,),
+             "batch_norm2d: running mean/var have shapes {} / {}, input has {} channels",
+             stats.running_mean.shape, stats.running_var.shape, c)
     axes, per_channel = (0, 2, 3), (1, c, 1, 1)
     if training:
         if n < 2:
@@ -1022,6 +993,7 @@ def pick(a: Tensor, indices: np.ndarray) -> Tensor:
     n, k = a.data.shape
     idx = np.asarray(indices)
     _require(idx.shape == (n,), "pick: expected {} indices, got shape {}", n, idx.shape)
+    _require(idx.dtype.kind in "iu", "pick: indices must be integers, got dtype {}", idx.dtype)
     if idx.size and (idx.min() < 0 or idx.max() >= k):
         raise ValueError(f"pick: index out of range [0, {k})")
     rows = np.arange(n)
@@ -1056,8 +1028,10 @@ def check_gradients(f: Callable[[], Tensor], params: Iterable[Tensor],
     match at one of them (central differences have a per-magnitude validity
     window; a large step can straddle a relu kink while a small one drowns
     tiny gradients in rounding noise).  A genuinely wrong gradient mismatches
-    at every step.  When ``max_elements_per_param`` is set, a deterministic
-    subsample of elements is probed per parameter tensor.
+    at every step.  A NaN error, from a NaN gradient or objective, matches at
+    no step, so an element with no finite error at any step counts as inf.
+    When ``max_elements_per_param`` is set, a deterministic subsample of
+    elements is probed per parameter tensor.
     """
     eps_values = tuple(map(float, [eps] if isinstance(eps, numbers.Real) else eps))
     params = list(params)
@@ -1082,7 +1056,7 @@ def check_gradients(f: Callable[[], Tensor], params: Iterable[Tensor],
             probe = np.arange(n)
         for i in probe:
             orig = flat[i]
-            err = None
+            err = math.inf
             for step in eps_values:
                 with no_grad():
                     flat[i] = orig + step
@@ -1093,7 +1067,7 @@ def check_gradients(f: Callable[[], Tensor], params: Iterable[Tensor],
                 numeric = (f_plus - f_minus) / (2.0 * step)
                 this = abs(float(gflat[i]) - numeric) / max(abs(float(gflat[i])),
                                                             abs(numeric), 1e-8)
-                err = this if err is None else min(err, this)
+                err = min(err, this)  # a NaN ``this`` is never less, so never kept
                 if err < 1e-7:
                     break
             flat[i] = orig

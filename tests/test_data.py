@@ -179,7 +179,7 @@ class TestAugment:
     def test_center_crop_identity(self):
         rng = np.random.default_rng(3)
         batch = rng.random((2, 3, 8, 8)).astype(np.float32)
-        assert np.array_equal(D.pad_crop(batch, 4, 4, pad=4), batch)
+        assert np.array_equal(D.pad_crop(batch, 4, 4), batch)
 
     @pytest.mark.parametrize("offset_y,offset_x,message", [
         (-12, 4, "image 1 has y offset -12 outside [0, 8]"),
@@ -190,11 +190,11 @@ class TestAugment:
         offsets_y, offsets_x = np.full(3, 4), np.full(3, 4)
         offsets_y[1], offsets_x[1] = offset_y, offset_x
         with pytest.raises(D.DataError, match=re.escape(message)):
-            D.pad_crop(batch, offsets_y, offsets_x, pad=4)
+            D.pad_crop(batch, offsets_y, offsets_x)
 
     def test_extreme_offsets_crop_a_corner(self):
         batch = np.ones((2, 1, 8, 8), dtype=np.float32)
-        out = D.pad_crop(batch, [0, 8], [0, 8], pad=4)
+        out = D.pad_crop(batch, [0, 8], [0, 8])
         # offset 0 shows the top-left padding, offset 2 * pad the bottom-right
         assert out[0, 0, 4:, 4:].all() and not out[0, 0, :4].any()
         assert out[1, 0, :4, :4].all() and not out[1, 0, 4:].any()

@@ -173,9 +173,19 @@ class TestPairwiseMarginLoss:
             L.pairwise_margin_loss(e, leaf(np.ones((1, 4))), np.array([True]), 1.0)
 
     def test_single_pair_rank1_inputs(self):
+        # a single pair is N = 1: rank-1 embeddings and a scalar flag are rejected
         a = leaf(np.zeros(3))
-        b = leaf(np.zeros(3))
-        assert L.pairwise_margin_loss(a, b, False, 2.0).item() == 4.0
+        with pytest.raises(ValueError, match=r"expected \[N, D\] embeddings, got \(3,\)"):
+            L.pairwise_margin_loss(a, a, np.array([False]), 2.0)
+        e = leaf(np.zeros((1, 3)))
+        with pytest.raises(ValueError, match=r"same_class of shape \(1,\), got \(\)"):
+            L.pairwise_margin_loss(e, e, False, 2.0)
+        assert L.pairwise_margin_loss(e, e, np.array([False]), 2.0).item() == 4.0
+
+    def test_same_class_of_wrong_length_is_rejected(self):
+        e = leaf(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match=r"same_class of shape \(3,\), got \(2,\)"):
+            L.pairwise_margin_loss(e, e, np.array([True, False]), 1.0)
 
     def test_batch_averages_pairs(self):
         a = leaf([[0.0], [0.0]])

@@ -211,6 +211,43 @@ class TestPhase1GradientFidelity:
         assert frozen < 1e-4 < raw
 
 
+class TestGradcheckSuite:
+    def test_run_gradcheck_passes_every_case(self):
+        results = gradcheck.run_gradcheck(max_elements_per_param=1)
+        assert [r.case for r in results] == ["tiny_vgg/phase1", "tiny_vgg/phase2",
+                                             "mini_resnet/phase1", "mini_resnet/phase2"]
+        assert all(r.passed for r in results), results
+
+    def test_train_mode_loss_reads_no_running_statistics(self):
+        # the FD closures rest on this: a train-mode forward normalises by the
+        # batch statistics, so overwriting the running ones changes nothing
+        with T.default_dtype("float64"):
+            model = M.build_model("mini_resnet", num_classes=3, input_size=16, seed=4)
+            nm = L.build_neuromodulator(seed=5)
+            rng = np.random.default_rng(15)
+            x_a, x_b = rng.random((2, 2, 3, 16, 16))
+            labels_a, labels_b = np.array([0, 1]), np.array([0, 2])
+            frozen = {k: v + 0.05 * rng.normal(size=v.shape)
+                      for k, v in model.snapshot_params().items()}
+
+            def loss_and_grads():
+                model.zero_grads()
+                total = L.phase2_loss(M.forward(model, x_a, "train"),
+                                      M.forward(model, x_b, "train"), labels_a, labels_b,
+                                      model, frozen, nm, TrainConfig()).total
+                total.backward()
+                return [total.data] + [p.grad for p in model.params.values()]
+
+            before = loss_and_grads()
+            for stats in model.bn.values():
+                stats.running_mean[:] = rng.normal(size=stats.running_mean.shape)
+                stats.running_var[:] = 0.1 + rng.random(stats.running_var.shape)
+            after = loss_and_grads()
+        assert len(before) == len(after) > 1
+        for a, b in zip(before, after):
+            assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("arch", ["tiny_vgg", "mini_resnet"])
 @pytest.mark.parametrize("phase", [1, 2])
 def test_each_backward_closure_owns_its_gradient(arch, phase):
