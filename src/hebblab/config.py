@@ -5,6 +5,9 @@ File format: ``[section]`` headers and ``key = value`` lines; ``#`` comments
 and blank lines are ignored.  Unknown sections or keys are rejected with the
 offending line number.  Missing keys take the documented defaults, so an
 empty file is a valid configuration.
+
+Images come from the synthetic generator or from CIFAR-10/100 record files,
+and both are RGB, so the channel count is fixed at 3 and is not a field.
 """
 
 from __future__ import annotations
@@ -15,13 +18,12 @@ from dataclasses import dataclass, field, fields
 from .models import ARCHES, SUPPORTED_INPUT_SIZES as IMAGE_SIZES
 from .tensor import PRECISIONS
 
-DATA_SOURCES = ("synthetic", "idx", "cifar10", "cifar100")
-# Data fields a file-backed source fixes: CIFAR records are 32x32 RGB with
-# 10 or 100 labels (the fine label for cifar100); IDX images are grayscale.
+DATA_SOURCES = ("synthetic", "cifar10", "cifar100")
+# Data fields a CIFAR source fixes: its records are 32x32 with 10 or 100
+# labels (the fine label for cifar100).
 _SOURCE_FIXES = {
-    "cifar10": {"num_classes": 10, "image_size": 32, "channels": 3},
-    "cifar100": {"num_classes": 100, "image_size": 32, "channels": 3},
-    "idx": {"channels": 1},
+    "cifar10": {"num_classes": 10, "image_size": 32},
+    "cifar100": {"num_classes": 100, "image_size": 32},
 }
 
 
@@ -58,16 +60,13 @@ class DataConfig:
     source: str = "synthetic"
     num_classes: int = 4
     image_size: int = 16
-    channels: int = 3
     train_per_class: int = 500
     val_per_class: int = 125
     test_per_class: int = 125
     noise: float = 0.25
-    # file-backed sources; comma-separated lists are allowed for cifar
+    # CIFAR record files, each a comma-separated list
     train_images: str = ""
-    train_labels: str = ""
     test_images: str = ""
-    test_labels: str = ""
 
 
 @dataclass
@@ -199,6 +198,8 @@ def _validate(cfg: FullConfig, lines_of: dict[tuple[str, str], int],
         fail("train", "swa_start_epoch", "must be in [1, epochs_phase1]")
     if t.early_stop_patience < 1:
         fail("train", "early_stop_patience", "must be >= 1")
+    if t.seed < 0:
+        fail("train", "seed", "must be >= 0")
     if t.precision not in PRECISIONS:
         fail("train", "precision", f"must be one of {PRECISIONS}")
     for name in ("lambda_hebb1", "lambda_hebb2", "lambda_metric", "lambda_cons"):
@@ -212,8 +213,6 @@ def _validate(cfg: FullConfig, lines_of: dict[tuple[str, str], int],
         fail("data", "num_classes", "must be >= 2")
     if d.image_size not in IMAGE_SIZES:
         fail("data", "image_size", f"must be one of {IMAGE_SIZES}")
-    if d.channels < 1:
-        fail("data", "channels", "must be >= 1")
     if d.noise < 0:
         fail("data", "noise", "must be >= 0")
     for name, want in _SOURCE_FIXES.get(d.source, {}).items():
@@ -224,11 +223,7 @@ def _validate(cfg: FullConfig, lines_of: dict[tuple[str, str], int],
         for name in ("train_per_class", "val_per_class", "test_per_class"):
             if getattr(d, name) < 2:
                 fail("data", name, "must be >= 2")
-    elif d.source == "idx":
-        for name in ("train_images", "train_labels", "test_images", "test_labels"):
-            if not getattr(d, name):
-                fail("data", name, "is required for idx data")
-    else:  # cifar10 / cifar100 use record files without separate label files
+    else:  # cifar10 / cifar100 records hold their labels
         for name in ("train_images", "test_images"):
             if not getattr(d, name):
                 fail("data", name, "is required for cifar data")

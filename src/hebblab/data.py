@@ -1,10 +1,9 @@
-"""Dataset provision: parametric synthetic image classes, IDX and
-CIFAR-binary loaders, augmentation, per-channel normalization, splits."""
+"""Dataset provision: parametric synthetic image classes, the CIFAR-binary
+loader, augmentation, per-channel normalization, splits."""
 
 from __future__ import annotations
 
 import os
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,23 +22,14 @@ class Dataset:
     def __len__(self) -> int:
         return int(self.images.shape[0])
 
-    def validate(self) -> None:
-        """Format check: image and label counts agree and every label lies
-        in ``[0, num_classes)``.  Class coverage is not checked here; a
-        training split is held to that by :func:`check_pairable`."""
-        if self.images.shape[0] != self.labels.shape[0]:
-            raise DataError("image/label count mismatch")
-        _check_labels(self.labels, self.num_classes)
 
-
-def _check_labels(labels: np.ndarray, num_classes: int, where: str = "") -> None:
-    """Reject the first label outside ``[0, num_classes)``, naming its record
-    index and, when ``where`` is given, the file it came from."""
+def _check_labels(labels: np.ndarray, num_classes: int, where: str) -> None:
+    """Reject the first label outside ``[0, num_classes)``, naming the file
+    ``where`` it came from and its record index."""
     bad = np.flatnonzero((labels < 0) | (labels >= num_classes))
     if bad.size:
         i = int(bad[0])
-        prefix = f"{where}: " if where else ""
-        raise DataError(f"{prefix}record {i} has label {labels[i]} "
+        raise DataError(f"{where}: record {i} has label {labels[i]} "
                         f"outside [0, {num_classes})")
 
 
@@ -106,61 +96,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
             images[row] = np.clip(img, 0.0, 1.0)
             labels[row] = cls
             row += 1
-    ds = Dataset(images=images, labels=labels, num_classes=spec.num_classes)
-    ds.validate()
-    return ds
-
-
-# ---------------------------------------------------------------------------
-# IDX format (big-endian dims, magic 0x0000080x)
-# ---------------------------------------------------------------------------
-
-
-def _read_idx_array(path: str, expect_ndim: int) -> np.ndarray:
-    try:
-        with open(path, "rb") as handle:
-            blob = handle.read()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    if len(blob) < 4:
-        raise DataError(f"{path}: truncated header at byte {len(blob)}")
-    magic = struct.unpack(">I", blob[:4])[0]
-    if magic >> 16 != 0 or (magic >> 8) & 0xFF != 0x08:
-        raise DataError(f"{path}: bad magic number 0x{magic:08x} at byte 0")
-    ndim = magic & 0xFF
-    if ndim != expect_ndim:
-        raise DataError(f"{path}: expected {expect_ndim} dimensions, "
-                        f"magic declares {ndim} at byte 3")
-    header_end = 4 + 4 * ndim
-    if len(blob) < header_end:
-        raise DataError(f"{path}: truncated dimension header at byte {len(blob)}")
-    dims = struct.unpack(f">{ndim}I", blob[4:header_end])
-    expected = header_end + int(np.prod(dims))
-    if len(blob) != expected:
-        raise DataError(f"{path}: expected {expected} bytes, file ends at "
-                        f"byte {len(blob)}")
-    return np.frombuffer(blob, dtype=np.uint8, offset=header_end).reshape(dims)
-
-
-def load_idx(images_path: str, labels_path: str, num_classes: int) -> Dataset:
-    """Load an IDX ubyte image/label pair (images magic 0x00000803).
-
-    ``num_classes`` comes from the caller (the config), not from the
-    labels, so every split of one dataset gets the same class count.  A
-    file need not hold every class; a label outside ``[0, num_classes)``
-    is rejected.
-    """
-    raw = _read_idx_array(images_path, expect_ndim=3)
-    labels = _read_idx_array(labels_path, expect_ndim=1)
-    if raw.shape[0] != labels.shape[0]:
-        raise DataError(f"record-count mismatch: {raw.shape[0]} images vs "
-                        f"{labels.shape[0]} labels")
-    _check_labels(labels, num_classes, labels_path)
-    images = raw.astype(np.float32)[:, None, :, :]
-    images /= 255.0  # in place: no second full-size array
-    ds = Dataset(images=images, labels=labels.astype(np.int64), num_classes=num_classes)
-    ds.validate()
-    return ds
+    return Dataset(images=images, labels=labels, num_classes=spec.num_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +144,8 @@ def load_cifar_binary(paths, variant: str = "cifar10") -> Dataset:
         images /= 255.0  # in place: no second full-size array
         all_images.append(images)
 
-    labels = np.concatenate(all_labels)
-    ds = Dataset(images=np.concatenate(all_images), labels=labels, num_classes=num_classes)
-    ds.validate()
-    return ds
+    return Dataset(images=np.concatenate(all_images), labels=np.concatenate(all_labels),
+                   num_classes=num_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -226,18 +160,25 @@ CROP_PAD = 4
 def pad_crop(images: np.ndarray, offsets_y, offsets_x) -> np.ndarray:
     """Zero-pad by ``CROP_PAD`` and crop back at the given per-image offsets.
 
-    Offset ``(CROP_PAD, CROP_PAD)`` is the identity crop; an offset outside
+    Each offset is one value for every image or one per image.  Offset
+    ``(CROP_PAD, CROP_PAD)`` is the identity crop; an offset outside
     ``[0, 2 * CROP_PAD]`` raises ``DataError`` naming the first such image.
     """
     n, _, h, w = images.shape
-    offsets_y = np.broadcast_to(np.asarray(offsets_y), (n,))
-    offsets_x = np.broadcast_to(np.asarray(offsets_x), (n,))
+    per_image = []
     for axis, offsets in (("y", offsets_y), ("x", offsets_x)):
+        offsets = np.asarray(offsets)
+        if offsets.shape not in ((), (n,)):
+            raise DataError(f"pad_crop: {axis} offsets of shape {offsets.shape} "
+                            f"for images of shape {images.shape}; expected () or ({n},)")
+        offsets = np.broadcast_to(offsets, (n,))
         outside = np.flatnonzero((offsets < 0) | (offsets > 2 * CROP_PAD))
         if outside.size:
             i = int(outside[0])
             raise DataError(f"pad_crop: image {i} has {axis} offset {offsets[i]} "
                             f"outside [0, {2 * CROP_PAD}]")
+        per_image.append(offsets)
+    offsets_y, offsets_x = per_image
     padded = np.pad(images, ((0, 0), (0, 0), (CROP_PAD, CROP_PAD), (CROP_PAD, CROP_PAD)))
     out = np.empty_like(images)
     for i in range(n):

@@ -99,8 +99,8 @@ def pairwise_margin_loss(emb_a: Tensor, emb_b: Tensor, same_class,
     Same class: squared distance.  Different class: squared hinge
     [max(0, margin - distance)]^2.
     """
-    if margin <= 0:
-        raise ValueError("margin must be > 0")
+    if not 0 < margin < np.inf:  # also False for NaN
+        raise ValueError(f"margin must be finite and > 0, got {margin}")
     if emb_a.data.ndim != 2:
         raise ValueError(f"pairwise_margin_loss: expected [N, D] embeddings, got {emb_a.shape}")
     if emb_a.shape != emb_b.shape:

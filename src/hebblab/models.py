@@ -16,7 +16,7 @@ import numpy as np
 from . import tensor as T
 from .tensor import BatchNormStats, Tensor
 
-SUPPORTED_INPUT_SIZES = (16, 28, 32)
+SUPPORTED_INPUT_SIZES = (16, 32)
 EMBED_DIM = 128
 
 

@@ -61,10 +61,9 @@ class TestRoundTrip:
         # that is not rendered, or not parsed back, changes the result
         cfg = FullConfig(
             arch="mini_resnet",
-            data=DataConfig(source="idx", num_classes=7, image_size=28, channels=1,
+            data=DataConfig(source="cifar100", num_classes=100, image_size=32,
                             train_per_class=9, val_per_class=8, test_per_class=6,
-                            noise=0.5, train_images="ti", train_labels="tl",
-                            test_images="vi", test_labels="vl"),
+                            noise=0.5, train_images="ti", test_images="vi"),
             train=TrainConfig(epochs_phase1=5, epochs_phase2=4, batch_size=16,
                               lr_phase1=0.02, lr_phase2=0.003, momentum=0.5,
                               weight_decay=0.0, swa_start_epoch=3, early_stop_patience=2,
@@ -108,11 +107,13 @@ class TestBadLines:
         st.from_regex(r"\Azz[a-z_]{0,8}\Z").map(lambda key: f"{key} = 1"),
         # options and a section the format no longer has
         st.sampled_from(["hebb_activation_stat = mean", "[analysis]",
-                         "swa_phase2 = false"])))
+                         "swa_phase2 = false", "channels = 1",
+                         "train_labels = a", "test_labels = b"])))
     def test_unknown_key(self, data, line):
         key = line.partition("=")[0].strip()
         # a removed line goes under the section that held it or a later one
-        home = "[train]" if key == "swa_phase2" else "[loss]"
+        home = {"swa_phase2": "[train]", "channels": "[data]", "train_labels": "[data]",
+                "test_labels": "[data]"}.get(key, "[loss]")
         first = 1 if line.startswith("zz") else BASE.index(home) + 1
         at = data.draw(st.integers(first, len(BASE)))
         lines = BASE[:at] + [line] + BASE[at:]
@@ -120,6 +121,12 @@ class TestBadLines:
                  "hebb_activation_stat": r"unknown key 'hebb_activation_stat' in \[loss\]",
                  }.get(key, f"unknown key '{key}'")
         rejected_at("\n".join(lines), at + 1, match)
+
+    def test_removed_source(self):
+        rejected_at("[data]\nsource = idx\n", 2, "source must be one of")
+
+    def test_negative_seed(self):
+        rejected_at("[train]\nseed = -1\n", 2, "seed must be >= 0")
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -156,12 +163,9 @@ class TestCrossField:
         ("cifar10", "num_classes = 4", 3, "num_classes"),
         ("cifar100", "num_classes = 10", 3, "num_classes"),
         ("cifar10", "num_classes = 10\nimage_size = 16", 4, "image_size"),
-        ("cifar100", "num_classes = 100\nimage_size = 32\nchannels = 1", 5, "channels"),
-        ("idx", "channels = 3", 3, "channels"),
     ])
     def test_source_fixes_field(self, source, body, lineno, key):
-        text = (f"[data]\nsource = {source}\n{body}\n"
-                "train_images = a\ntrain_labels = b\ntest_images = c\ntest_labels = d\n")
+        text = f"[data]\nsource = {source}\n{body}\ntrain_images = a\ntest_images = c\n"
         rejected_at(text, lineno, f"{key} must be .* for {source} data")
 
     def test_defaulted_field_names_the_source_line(self):
@@ -173,7 +177,3 @@ class TestCrossField:
         cifar = parse_config_text("[data]\nsource = cifar100\nnum_classes = 100\n"
                                   "image_size = 32\ntrain_images = a\ntest_images = b\n")
         assert cifar.data.num_classes == 100
-        idx = parse_config_text("[data]\nsource = idx\nchannels = 1\nimage_size = 28\n"
-                                "train_images = a\ntrain_labels = b\n"
-                                "test_images = c\ntest_labels = d\n")
-        assert idx.data.channels == 1

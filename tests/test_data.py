@@ -2,7 +2,6 @@
 properties."""
 
 import re
-import struct
 
 import numpy as np
 import pytest
@@ -42,80 +41,6 @@ class TestSynthetic:
         d2 = ((flat[:, None, :] - cflat[None, :, :]) ** 2).sum(axis=2)
         predicted = d2.argmin(axis=1)
         assert np.array_equal(predicted, test.labels)
-
-
-def write_idx_images(path, arrays):
-    arrays = np.asarray(arrays, dtype=np.uint8)
-    n, h, w = arrays.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", 0x00000803, n, h, w))
-        fh.write(arrays.tobytes())
-
-
-def write_idx_labels(path, labels):
-    labels = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", 0x00000801, labels.size))
-        fh.write(labels.tobytes())
-
-
-class TestIdx:
-    def test_handcrafted_pair(self, tmp_path):
-        rng = np.random.default_rng(0)
-        imgs = rng.integers(0, 256, size=(2, 28, 28))
-        write_idx_images(tmp_path / "img", imgs)
-        write_idx_labels(tmp_path / "lbl", [1, 0])
-        ds = D.load_idx(str(tmp_path / "img"), str(tmp_path / "lbl"),
-                        num_classes=10)
-        assert ds.images.shape == (2, 1, 28, 28)
-        assert np.allclose(ds.images[:, 0] * 255.0, imgs)
-        assert np.array_equal(ds.labels, [1, 0])
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad"
-        path.write_bytes(struct.pack(">IIII", 0x12340803, 1, 2, 2) + b"\0" * 4)
-        with pytest.raises(D.DataError, match="magic"):
-            D.load_idx(str(path), str(path), num_classes=10)
-
-    def test_truncated_payload(self, tmp_path):
-        path = tmp_path / "short"
-        path.write_bytes(struct.pack(">IIII", 0x00000803, 2, 28, 28) + b"\0" * 100)
-        with pytest.raises(D.DataError, match="byte"):
-            D.load_idx(str(path), str(path), num_classes=10)
-
-    def test_pixels_scaled_bit_exact(self, tmp_path):
-        imgs = np.random.default_rng(1).integers(0, 256, size=(3, 5, 4))
-        write_idx_images(tmp_path / "img", imgs)
-        write_idx_labels(tmp_path / "lbl", [0, 1, 2])
-        ds = D.load_idx(str(tmp_path / "img"), str(tmp_path / "lbl"), num_classes=3)
-        want = (imgs.astype(np.uint8).astype(np.float32) / 255.0)[:, None]
-        assert ds.images.dtype == np.float32 and np.array_equal(ds.images, want)
-
-    def test_record_count_mismatch(self, tmp_path):
-        write_idx_images(tmp_path / "img", np.zeros((2, 4, 4)))
-        write_idx_labels(tmp_path / "lbl", [1, 0, 1])
-        with pytest.raises(D.DataError, match="record-count mismatch"):
-            D.load_idx(str(tmp_path / "img"), str(tmp_path / "lbl"),
-                       num_classes=10)
-
-    @pytest.mark.parametrize("labels", [[0, 2], [3, 3]])
-    def test_class_count_from_caller_not_labels(self, tmp_path, labels):
-        # a split may skip classes (even the top one); the head size must
-        # still be the configured class count
-        write_idx_images(tmp_path / "img", np.zeros((2, 4, 4)))
-        write_idx_labels(tmp_path / "lbl", labels)
-        ds = D.load_idx(str(tmp_path / "img"), str(tmp_path / "lbl"),
-                        num_classes=5)
-        assert ds.num_classes == 5
-        assert ds.labels.tolist() == labels
-
-    def test_label_out_of_range(self, tmp_path):
-        write_idx_images(tmp_path / "img", np.zeros((3, 4, 4)))
-        write_idx_labels(tmp_path / "lbl", [1, 4, 5])
-        message = re.escape(f"{tmp_path / 'lbl'}: record 1 has label 4 outside [0, 4)")
-        with pytest.raises(D.DataError, match=message):
-            D.load_idx(str(tmp_path / "img"), str(tmp_path / "lbl"),
-                       num_classes=4)
 
 
 class TestCifar:
@@ -191,6 +116,14 @@ class TestAugment:
         offsets_y[1], offsets_x[1] = offset_y, offset_x
         with pytest.raises(D.DataError, match=re.escape(message)):
             D.pad_crop(batch, offsets_y, offsets_x)
+
+    @pytest.mark.parametrize("offsets_y,shape", [
+        ([4, 4], (2,)), (np.full((3, 1), 4), (3, 1))])
+    def test_offsets_of_the_wrong_shape_are_rejected(self, offsets_y, shape):
+        batch = np.ones((3, 2, 8, 8), dtype=np.float32)
+        message = f"pad_crop: y offsets of shape {shape} for images of shape (3, 2, 8, 8)"
+        with pytest.raises(D.DataError, match=re.escape(message)):
+            D.pad_crop(batch, offsets_y, 4)
 
     def test_extreme_offsets_crop_a_corner(self):
         batch = np.ones((2, 1, 8, 8), dtype=np.float32)

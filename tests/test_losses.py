@@ -167,8 +167,9 @@ class TestPairwiseMarginLoss:
 
     def test_rejects_bad_margin_and_dims(self):
         e = leaf(np.ones((1, 3)))
-        with pytest.raises(ValueError, match="margin"):
-            L.pairwise_margin_loss(e, e, np.array([True]), 0.0)
+        for margin in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="margin"):
+                L.pairwise_margin_loss(e, e, np.array([True]), margin)
         with pytest.raises(ValueError, match="mismatch"):
             L.pairwise_margin_loss(e, leaf(np.ones((1, 4))), np.array([True]), 1.0)
 
