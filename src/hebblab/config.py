@@ -15,16 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
+from .data import CIFAR_SIZE, CIFAR_VARIANTS, max_synthetic_classes
 from .models import ARCHES, SUPPORTED_INPUT_SIZES as IMAGE_SIZES
 from .tensor import PRECISIONS
 
-DATA_SOURCES = ("synthetic", "cifar10", "cifar100")
-# Data fields a CIFAR source fixes: its records are 32x32 with 10 or 100
-# labels (the fine label for cifar100).
-_SOURCE_FIXES = {
-    "cifar10": {"num_classes": 10, "image_size": 32},
-    "cifar100": {"num_classes": 100, "image_size": 32},
-}
+DATA_SOURCES = ("synthetic", *CIFAR_VARIANTS)
+# Data fields a CIFAR source fixes: its records' class count and image size
+_SOURCE_FIXES = {name: {"num_classes": classes, "image_size": CIFAR_SIZE}
+                 for name, (_, _, classes) in CIFAR_VARIANTS.items()}
 
 
 class ConfigError(ValueError):
@@ -97,14 +95,13 @@ _LOSS_FIELDS = ("lambda_hebb1", "lambda_hebb2", "lambda_metric", "lambda_cons", 
 _TRAIN_FIELDS = tuple(f.name for f in fields(TrainConfig) if f.name not in _LOSS_FIELDS)
 
 
-def _section_map() -> dict[str, dict[str, type]]:
-    train_types = {f.name: f.type for f in fields(TrainConfig)}
-    data_types = {f.name: f.type for f in fields(DataConfig)}
+def _sections(cfg: FullConfig) -> dict[str, tuple[object, tuple[str, ...]]]:
+    """Each section's keys, in rendering order, and the object they set."""
     return {
-        "model": {"arch": "str"},
-        "data": data_types,
-        "train": {k: train_types[k] for k in _TRAIN_FIELDS},
-        "loss": {k: train_types[k] for k in _LOSS_FIELDS},
+        "model": (cfg, ("arch",)),
+        "data": (cfg.data, tuple(f.name for f in fields(DataConfig))),
+        "train": (cfg.train, _TRAIN_FIELDS),
+        "loss": (cfg.train, _LOSS_FIELDS),
     }
 
 
@@ -112,8 +109,8 @@ _CASTS = {"int": int, "float": _parse_float, "bool": _parse_bool, "str": str}
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> FullConfig:
-    schema = _section_map()
     cfg = FullConfig()
+    sections = _sections(cfg)
     lines_of: dict[tuple[str, str], int] = {}
     section = None
     seen: set[tuple[str, str]] = set()
@@ -124,7 +121,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> FullConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in schema:
+            if section not in sections:
                 raise ConfigError(f"{origin}:{lineno}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -133,18 +130,18 @@ def parse_config_text(text: str, origin: str = "<config>") -> FullConfig:
             raise ConfigError(f"{origin}:{lineno}: key outside any [section]")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in schema[section]:
+        target, keys = sections[section]
+        if key not in keys:
             raise ConfigError(f"{origin}:{lineno}: unknown key {key!r} in [{section}]")
         if (section, key) in seen:
             raise ConfigError(f"{origin}:{lineno}: duplicate key {key!r}")
         seen.add((section, key))
         lines_of[(section, key)] = lineno
-        cast = _CASTS[schema[section][key]]
+        cast = _CASTS[next(f.type for f in fields(target) if f.name == key)]
         try:
-            parsed = cast(value)
+            setattr(target, key, cast(value))
         except ValueError as exc:
             raise ConfigError(f"{origin}:{lineno}: bad value for {key}: {exc}") from None
-        _assign(cfg, section, key, parsed)
 
     _validate(cfg, lines_of, origin)
     return cfg
@@ -157,15 +154,6 @@ def parse_config(path: str) -> FullConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return parse_config_text(text, origin=path)
-
-
-def _assign(cfg: FullConfig, section: str, key: str, value) -> None:
-    if section == "model":
-        cfg.arch = value
-    elif section == "data":
-        setattr(cfg.data, key, value)
-    else:  # train and loss both live on TrainConfig
-        setattr(cfg.train, key, value)
 
 
 def _validate(cfg: FullConfig, lines_of: dict[tuple[str, str], int],
@@ -195,7 +183,9 @@ def _validate(cfg: FullConfig, lines_of: dict[tuple[str, str], int],
     if t.weight_decay < 0:
         fail("train", "weight_decay", "must be >= 0")
     if not 1 <= t.swa_start_epoch <= t.epochs_phase1:
-        fail("train", "swa_start_epoch", "must be in [1, epochs_phase1]")
+        fail("train", "swa_start_epoch", f"must be in [1, epochs_phase1], got "
+             f"{t.swa_start_epoch} with epochs_phase1 = {t.epochs_phase1}",
+             also="epochs_phase1")
     if t.early_stop_patience < 1:
         fail("train", "early_stop_patience", "must be >= 1")
     if t.seed < 0:
@@ -220,13 +210,16 @@ def _validate(cfg: FullConfig, lines_of: dict[tuple[str, str], int],
             fail("data", name, f"must be {want} for {d.source} data, got "
                  f"{getattr(d, name)}", also="source")
     if d.source == "synthetic":
+        if d.num_classes > (limit := max_synthetic_classes(d.image_size)):
+            fail("data", "num_classes", f"must be <= {limit} for synthetic data at "
+                 f"image_size {d.image_size}, got {d.num_classes}", also="image_size")
         for name in ("train_per_class", "val_per_class", "test_per_class"):
             if getattr(d, name) < 2:
                 fail("data", name, "must be >= 2")
     else:  # cifar10 / cifar100 records hold their labels
         for name in ("train_images", "test_images"):
             if not getattr(d, name):
-                fail("data", name, "is required for cifar data")
+                fail("data", name, "is required for cifar data", also="source")
 
 
 def _format_value(value) -> str:
@@ -239,13 +232,9 @@ def _format_value(value) -> str:
 
 def render_effective(cfg: FullConfig) -> str:
     """Canonical text of the fully-defaulted configuration (round-trips)."""
-    out = ["[model]", f"arch = {cfg.arch}", "", "[data]"]
-    for f in fields(DataConfig):
-        out.append(f"{f.name} = {_format_value(getattr(cfg.data, f.name))}")
-    out.append("")
-    for section, names in (("train", _TRAIN_FIELDS), ("loss", _LOSS_FIELDS)):
+    out = []
+    for section, (target, keys) in _sections(cfg).items():
         out.append(f"[{section}]")
-        for name in names:
-            out.append(f"{name} = {_format_value(getattr(cfg.train, name))}")
+        out.extend(f"{key} = {_format_value(getattr(target, key))}" for key in keys)
         out.append("")
     return "\n".join(out)

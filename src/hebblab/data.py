@@ -3,6 +3,7 @@ loader, augmentation, per-channel normalization, splits."""
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, replace
 
@@ -39,9 +40,11 @@ class SyntheticSpec:
 
     Even class ids are gratings (angle and frequency stepped per class),
     odd ids are blobs (position and scale stepped per class), so distinct
-    classes always have distinct generator parameters.  ``noise`` is the
-    additive pixel-noise standard deviation; per-image phase/position
-    jitter is always on, giving intra-class variability even at noise 0.
+    classes have distinct generator parameters up to
+    ``max_synthetic_classes(image_size)``, past which a grating would alias
+    at the Nyquist limit ``image_size / 2``.  ``noise`` is the additive
+    pixel-noise standard deviation; per-image phase/position jitter is
+    always on, giving intra-class variability even at noise 0.
     """
 
     num_classes: int = 4
@@ -56,6 +59,16 @@ _BLOB_CENTERS = ((0.30, 0.30), (0.70, 0.70), (0.30, 0.70), (0.70, 0.30))
 _PATTERN_AMPLITUDE = 0.35
 
 
+def _grating_frequency(kind_index: int) -> float:
+    return 3.0 + (kind_index // 4)  # cycles per image
+
+
+def max_synthetic_classes(image_size: int) -> int:
+    """The largest class count whose gratings all stay below ``image_size
+    / 2`` cycles per image: 40 at 16x16, 104 at 32x32."""
+    return next(n for n in itertools.count() if _grating_frequency(n // 2) >= image_size / 2)
+
+
 def _class_pattern(kind_index: int, is_blob: bool, u: np.ndarray, v: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:
     """One image's pattern on the pixel grid ``u`` (rows), ``v`` (columns)."""
@@ -67,7 +80,7 @@ def _class_pattern(kind_index: int, is_blob: bool, u: np.ndarray, v: np.ndarray,
         g = np.exp(-((u - cy) ** 2 + (v - cx) ** 2) / (2.0 * sigma ** 2))
         return 2.0 * g - 1.0
     angle = (kind_index % 4) * np.pi / 4.0
-    freq = 3.0 + (kind_index // 4)
+    freq = _grating_frequency(kind_index)
     phase = rng.uniform(0.0, 2.0 * np.pi)
     return np.sin(2.0 * np.pi * freq * (u * np.cos(angle) + v * np.sin(angle))
                   + phase)
@@ -75,6 +88,10 @@ def _class_pattern(kind_index: int, is_blob: bool, u: np.ndarray, v: np.ndarray,
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Deterministic under seed; labels exactly balanced per class."""
+    limit = max_synthetic_classes(spec.image_size)
+    if spec.num_classes > limit:
+        raise DataError(f"class {limit} would be a grating of {_grating_frequency(limit // 2)} "
+                        f"cycles, at or past the Nyquist limit of image_size {spec.image_size}")
     rng = np.random.default_rng(spec.seed)
     size, channels = spec.image_size, spec.channels
     total = spec.num_classes * spec.samples_per_class
@@ -103,24 +120,24 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 # CIFAR binary record formats
 # ---------------------------------------------------------------------------
 
-_CIFAR_PIXELS = 3 * 32 * 32
+CIFAR_SIZE = 32
+# each variant's (label bytes ahead of a record's RGB planes, offset of the
+# label used, class count); cifar100's fine label follows its coarse one
+CIFAR_VARIANTS = {"cifar10": (1, 0, 10), "cifar100": (2, 1, 100)}
 
 
 def load_cifar_binary(paths, variant: str = "cifar10") -> Dataset:
     """Load CIFAR binary record files: one path (``str`` or path-like), or
     an iterable of several, in order.
 
-    cifar10: 3073-byte records (label + RGB planes); cifar100: 3074-byte
-    records (coarse + fine + RGB planes), the fine label is used.
-    ``num_classes`` is fixed by the variant (10 or 100); a file need not
-    hold every class, but a label outside that range is rejected.
+    Each record is the variant's label bytes then the RGB planes
+    (``CIFAR_VARIANTS``).  ``num_classes`` is fixed by the variant; a file
+    need not hold every class, but a label outside that range is rejected.
     """
-    if variant == "cifar10":
-        record, label_offset, num_classes = _CIFAR_PIXELS + 1, 0, 10
-    elif variant == "cifar100":
-        record, label_offset, num_classes = _CIFAR_PIXELS + 2, 1, 100
-    else:
+    if variant not in CIFAR_VARIANTS:
         raise DataError(f"unknown cifar variant {variant!r}")
+    label_bytes, label_offset, num_classes = CIFAR_VARIANTS[variant]
+    record = label_bytes + 3 * CIFAR_SIZE * CIFAR_SIZE
     paths = [paths] if isinstance(paths, (str, os.PathLike)) else list(paths)
     if not paths:
         raise DataError("no CIFAR record files given")
@@ -139,8 +156,8 @@ def load_cifar_binary(paths, variant: str = "cifar10") -> Dataset:
         labels = rows[:, label_offset].astype(np.int64)
         _check_labels(labels, num_classes, path)
         all_labels.append(labels)
-        pixels = rows[:, record - _CIFAR_PIXELS:]
-        images = pixels.reshape(-1, 3, 32, 32).astype(np.float32)
+        pixels = rows[:, label_bytes:]
+        images = pixels.reshape(-1, 3, CIFAR_SIZE, CIFAR_SIZE).astype(np.float32)
         images /= 255.0  # in place: no second full-size array
         all_images.append(images)
 

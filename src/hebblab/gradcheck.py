@@ -70,7 +70,7 @@ def run_gradcheck(max_elements_per_param: int = 4, seed: int = 0,
     results = []
     with T.default_dtype("float64"):
         rng = np.random.default_rng(seed)
-        for arch in ("tiny_vgg", "mini_resnet"):
+        for arch in M.ARCHES:
             model = M.build_model(arch, num_classes=3, input_size=16,
                                   seed=seed + 1)
             nm = L.build_neuromodulator(seed=seed + 2)

@@ -170,15 +170,11 @@ def build_mini_resnet(num_classes: int, input_channels: int = 3,
                       params=params, bn=bn, hebbian_layer="s2b2_conv2")
 
 
-BUILDERS = {"tiny_vgg": build_tiny_vgg, "mini_resnet": build_mini_resnet}
-ARCHES = tuple(BUILDERS)
-
-
 def build_model(arch: str, num_classes: int, input_channels: int = 3,
                 input_size: int = 32, seed: int = 0) -> ModelState:
-    if arch not in BUILDERS:
-        raise ValueError(f"unknown architecture {arch!r}; choose from {sorted(BUILDERS)}")
-    return BUILDERS[arch](num_classes, input_channels, input_size, seed)
+    if arch not in _ARCHITECTURES:
+        raise ValueError(f"unknown architecture {arch!r}; choose from {sorted(ARCHES)}")
+    return _ARCHITECTURES[arch][0](num_classes, input_channels, input_size, seed)
 
 
 def _as_batch_tensor(model: ModelState, batch) -> Tensor:
@@ -199,11 +195,11 @@ def forward(model: ModelState, batch, mode: str = "eval") -> ForwardTaps:
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     x = _as_batch_tensor(model, batch)
-    build = _forward_tiny_vgg if model.arch == "tiny_vgg" else _forward_mini_resnet
+    run = _ARCHITECTURES[model.arch][1]
     if mode == "train":
-        return build(model, x, True)
+        return run(model, x, True)
     with T.no_grad():
-        return build(model, x, False)
+        return run(model, x, False)
 
 
 def _forward_tiny_vgg(model: ModelState, x: Tensor, training: bool) -> ForwardTaps:
@@ -254,3 +250,9 @@ def _forward_mini_resnet(model: ModelState, x: Tensor, training: bool) -> Forwar
     logits = T.dense(embedding, p["head_w"], p["head_b"])
     return ForwardTaps(logits=logits, embedding=embedding, hebbian_activation=hebb,
                        hebbian_weight=p[f"{model.hebbian_layer}_w"])
+
+
+# each architecture's builder and forward; ARCHES lists the names
+_ARCHITECTURES = {"tiny_vgg": (build_tiny_vgg, _forward_tiny_vgg),
+                  "mini_resnet": (build_mini_resnet, _forward_mini_resnet)}
+ARCHES = tuple(_ARCHITECTURES)

@@ -7,8 +7,8 @@ graph once in reverse topological order (parent order is fixed at op
 construction, so the visit order is deterministic) and accumulates into
 ``.grad``.
 
-Precision is a run-level switch (`set_default_dtype` / the `default_dtype`
-context manager), not a per-tensor property, so a graph stays homogeneous.
+Precision is a run-level switch (float32 unless a ``default_dtype`` block
+says otherwise), not a per-tensor property, so a graph stays homogeneous.
 Gradient verification always runs at 64 bit.
 
 Inside a ``with no_grad():`` block ops record no graph: every output has
@@ -70,8 +70,7 @@ process runs on one BLAS thread, so the W workers and BLAS do not compete
 for the same cores.  W = 1 (``OPENBLAS_NUM_THREADS=1``, say), or a BLAS
 without OpenBLAS's ``openblas_set_num_threads_local``, means no pool: the
 blocks run inline and BLAS is left as it is.  A loop with one block always
-runs inline, and so does one whose blocks of one image already exceed the
-column budget.  The calling thread makes every worker's zero frame and
+runs inline.  The calling thread makes every worker's zero frame and
 scratch arrays, in worker order, so the heap's layout does not depend on how
 the threads interleave and a warmed step still takes no page faults.  A
 forked child makes a new pool of the same width on first use.
@@ -134,24 +133,13 @@ _debug_checks = False
 _grad_enabled = True
 
 
-def set_default_dtype(name: str) -> None:
-    """Set the run-level precision: "float32" (training) or "float64"."""
+@contextlib.contextmanager
+def default_dtype(name: str):
+    """Switch the run-level precision ("float32" or "float64") for the block."""
     global _default_dtype
     if name not in _DTYPES:
         raise ValueError(f"unsupported dtype {name!r}; choose from {sorted(_DTYPES)}")
-    _default_dtype = _DTYPES[name]
-
-
-def get_default_dtype() -> np.dtype:
-    return np.dtype(_default_dtype)
-
-
-@contextlib.contextmanager
-def default_dtype(name: str):
-    """Temporarily switch the run-level precision."""
-    global _default_dtype
-    saved = _default_dtype
-    set_default_dtype(name)
+    saved, _default_dtype = _default_dtype, _DTYPES[name]
     try:
         yield
     finally:
@@ -654,15 +642,12 @@ def _map_blocks(src: np.ndarray, col_elems: int, row_elems: int,
     each in a frame and scratch arrays of its own.  Once every worker has
     finished, their results are yielded in block order, or the first
     failed worker's exception is raised.  A single block, or W = 1, runs
-    inline, one block per result.  So does a loop whose blocks of one image
-    each already exceed ``_COLUMN_BLOCK_BYTES``: the pool holds W blocks
-    within that budget at once.
+    inline, one block per result.
     """
     n = len(src)
     step = _images_per_block(col_elems, src.itemsize)
     n_blocks = -(-n // step)
-    fits = col_elems * src.itemsize <= _COLUMN_BLOCK_BYTES
-    pool = _block_pool() if n_blocks > 1 and fits else None
+    pool = _block_pool() if n_blocks > 1 else None
     width = 1 if pool is None else min(_pool_width, n_blocks)
     # Every array a worker needs is made here, in worker order, and the
     # workers allocate only their results.  Arrays that workers allocated
@@ -891,7 +876,7 @@ class BatchNormStats:
     __slots__ = ("running_mean", "running_var")
 
     def __init__(self, channels: int, dtype=None):
-        dtype = dtype or get_default_dtype()
+        dtype = dtype or _default_dtype
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
 
@@ -1031,9 +1016,15 @@ def check_gradients(f: Callable[[], Tensor], params: Iterable[Tensor],
     at every step.  A NaN error, from a NaN gradient or objective, matches at
     no step, so an element with no finite error at any step counts as inf.
     When ``max_elements_per_param`` is set, a deterministic subsample of
-    elements is probed per parameter tensor.
+    elements is probed per parameter tensor.  A check that would probe
+    nothing, or divide by a zero or non-finite step, raises ``ValueError``.
     """
     eps_values = tuple(map(float, [eps] if isinstance(eps, numbers.Real) else eps))
+    if max_elements_per_param is not None and max_elements_per_param < 1:
+        raise ValueError(f"check_gradients: max_elements_per_param must be >= 1, "
+                         f"got {max_elements_per_param}")
+    if not eps_values or 0.0 in eps_values or not all(map(math.isfinite, eps_values)):
+        raise ValueError(f"check_gradients: eps must be nonzero finite steps, got {eps!r}")
     params = list(params)
     out = f()
     if out.data.size != 1:

@@ -177,3 +177,21 @@ class TestCrossField:
         cifar = parse_config_text("[data]\nsource = cifar100\nnum_classes = 100\n"
                                   "image_size = 32\ntrain_images = a\ntest_images = b\n")
         assert cifar.data.num_classes == 100
+
+    @pytest.mark.parametrize("size,limit", [(16, 40), (32, 104)])
+    def test_synthetic_class_count_stays_below_nyquist(self, size, limit):
+        text = f"[data]\nimage_size = {size}\nnum_classes = {{}}\n"
+        assert parse_config_text(text.format(limit)).data.num_classes == limit
+        rejected_at(text.format(limit + 1), 3,
+                    f"num_classes must be <= {limit} for synthetic data at image_size {size}, "
+                    f"got {limit + 1}")
+
+    def test_swa_start_beyond_a_written_epoch_count_names_its_line(self):
+        # swa_start_epoch keeps its default (24)
+        rejected_at("[train]\nepochs_phase1 = 10\n", 2,
+                    r"swa_start_epoch must be in \[1, epochs_phase1\], got 24 "
+                    "with epochs_phase1 = 10")
+
+    def test_missing_cifar_files_name_the_source_line(self):
+        rejected_at("[data]\nsource = cifar10\nnum_classes = 10\nimage_size = 32\n", 2,
+                    "train_images is required for cifar data")

@@ -42,6 +42,19 @@ class TestSynthetic:
         predicted = d2.argmin(axis=1)
         assert np.array_equal(predicted, test.labels)
 
+    # the first grating at image_size / 2 cycles per image is class 40 at
+    # 16x16 (8 cycles) and class 104 at 32x32 (16 cycles); past it a grating
+    # aliases onto a lower one
+    @pytest.mark.parametrize("size,limit", [(16, 40), (32, 104)])
+    def test_class_count_stays_below_nyquist(self, size, limit):
+        assert D.max_synthetic_classes(size) == limit
+        spec = D.SyntheticSpec(num_classes=limit, image_size=size, samples_per_class=1)
+        assert D.generate_synthetic(spec).num_classes == limit
+        with pytest.raises(D.DataError, match=f"class {limit} would be a grating of "
+                                              f"{size // 2}.0 cycles"):
+            D.generate_synthetic(D.SyntheticSpec(num_classes=limit + 1, image_size=size,
+                                                 samples_per_class=1))
+
 
 class TestCifar:
     def test_handcrafted_cifar10_record(self, tmp_path):

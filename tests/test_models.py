@@ -218,6 +218,10 @@ class TestGradcheckSuite:
                                              "mini_resnet/phase1", "mini_resnet/phase2"]
         assert all(r.passed for r in results), results
 
+    def test_a_suite_that_probes_nothing_fails(self):
+        with pytest.raises(ValueError, match="max_elements_per_param must be >= 1"):
+            gradcheck.run_gradcheck(max_elements_per_param=0)
+
     def test_train_mode_loss_reads_no_running_statistics(self):
         # the FD closures rest on this: a train-mode forward normalises by the
         # batch statistics, so overwriting the running ones changes nothing

@@ -1032,6 +1032,22 @@ class TestCheckGradients:
         w = leaf([1e-4])
         assert T.check_gradients(lambda: T.sum_all(T.sqrt(w)), [w], eps=(1e-3, 1e-6)) < 1e-4
 
+    # a check that probes nothing, or steps by 0 or a non-finite value,
+    # would pass with error 0.0 or divide by zero
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"max_elements_per_param": 0}, "max_elements_per_param"),
+        ({"max_elements_per_param": -1}, "max_elements_per_param"),
+        ({"eps": ()}, "eps"),
+        ({"eps": 0.0}, "eps"),
+        ({"eps": (1e-5, 0.0)}, "eps"),
+        ({"eps": np.inf}, "eps"),
+        ({"eps": (1e-5, np.nan)}, "eps"),
+    ])
+    def test_rejects_an_argument_that_probes_nothing(self, kwargs, name):
+        w = leaf([1.0, 2.0])
+        with pytest.raises(ValueError, match=f"check_gradients: {name} must"):
+            T.check_gradients(lambda: T.sum_all(T.square(w)), [w], **kwargs)
+
 
 class TestPrecisionSwitch:
     def test_default_dtype_context(self):
@@ -1041,7 +1057,8 @@ class TestPrecisionSwitch:
 
     def test_rejects_unknown_dtype(self):
         with pytest.raises(ValueError, match="unsupported dtype"):
-            T.set_default_dtype("float16")
+            with T.default_dtype("float16"):
+                pass
 
     def test_primitives_pass_fd_on_random_small_shapes(self):
         rng = np.random.default_rng(14)
