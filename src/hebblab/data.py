@@ -88,6 +88,11 @@ def _class_pattern(kind_index: int, is_blob: bool, u: np.ndarray, v: np.ndarray,
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Deterministic under seed; labels exactly balanced per class."""
+    if not 0 <= spec.noise < np.inf:  # also False for NaN
+        raise DataError(f"SyntheticSpec.noise must be finite and >= 0, got {spec.noise}")
+    for name in ("num_classes", "samples_per_class"):
+        if getattr(spec, name) < 1:
+            raise DataError(f"SyntheticSpec.{name} must be >= 1, got {getattr(spec, name)}")
     limit = max_synthetic_classes(spec.image_size)
     if spec.num_classes > limit:
         raise DataError(f"class {limit} would be a grating of {_grating_frequency(limit // 2)} "
@@ -177,9 +182,10 @@ CROP_PAD = 4
 def pad_crop(images: np.ndarray, offsets_y, offsets_x) -> np.ndarray:
     """Zero-pad by ``CROP_PAD`` and crop back at the given per-image offsets.
 
-    Each offset is one value for every image or one per image.  Offset
-    ``(CROP_PAD, CROP_PAD)`` is the identity crop; an offset outside
-    ``[0, 2 * CROP_PAD]`` raises ``DataError`` naming the first such image.
+    Each offset is one integer for every image or one per image.  Offset
+    ``(CROP_PAD, CROP_PAD)`` is the identity crop; an offset that is not an
+    integer raises ``DataError`` naming its axis, and one outside ``[0, 2 *
+    CROP_PAD]`` names the first such image.
     """
     n, _, h, w = images.shape
     per_image = []
@@ -188,6 +194,9 @@ def pad_crop(images: np.ndarray, offsets_y, offsets_x) -> np.ndarray:
         if offsets.shape not in ((), (n,)):
             raise DataError(f"pad_crop: {axis} offsets of shape {offsets.shape} "
                             f"for images of shape {images.shape}; expected () or ({n},)")
+        if offsets.dtype.kind not in "iu":
+            raise DataError(f"pad_crop: {axis} offsets must be integers, "
+                            f"got dtype {offsets.dtype}")
         offsets = np.broadcast_to(offsets, (n,))
         outside = np.flatnonzero((offsets < 0) | (offsets > 2 * CROP_PAD))
         if outside.size:

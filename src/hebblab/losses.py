@@ -70,6 +70,8 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     labels = np.asarray(labels)
     if logits.data.ndim != 2:
         raise ValueError(f"cross_entropy: logits must be [N, K], got {logits.shape}")
+    if logits.shape[0] == 0:
+        raise ValueError(f"cross_entropy: empty batch, logits of shape {logits.shape}")
     if labels.shape != (logits.shape[0],):
         raise ValueError(f"cross_entropy: expected {logits.shape[0]} labels, "
                          f"got shape {labels.shape}")
@@ -106,6 +108,8 @@ def pairwise_margin_loss(emb_a: Tensor, emb_b: Tensor, same_class,
     if emb_a.shape != emb_b.shape:
         raise ValueError(f"embedding dimension mismatch: {emb_a.shape} vs {emb_b.shape}")
     n = emb_a.shape[0]
+    if n == 0:
+        raise ValueError(f"pairwise_margin_loss: empty batch, embeddings of shape {emb_a.shape}")
     same = np.asarray(same_class, dtype=bool)
     if same.shape != (n,):
         raise ValueError(f"pairwise_margin_loss: expected same_class of shape ({n},), "

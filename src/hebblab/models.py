@@ -102,6 +102,21 @@ def _bn_param(params, bn, name, channels):
     bn[name] = BatchNormStats(channels)
 
 
+def _res_block_params(params, bn, rng, block, c_in, c_out):
+    """The parameters ``_res_block`` reads, in its order: conv1, bn1, conv2,
+    bn2, then, for a block that widens its channels, the 1x1 projection
+    shortcut and its batch norm.  Convs feeding batch norm carry no bias:
+    the normalization would cancel it, leaving parameters with an
+    exactly-zero gradient."""
+    _conv_param(params, rng, f"{block}_conv1", c_out, c_in, 3, bias=False)
+    _bn_param(params, bn, f"{block}_bn1", c_out)
+    _conv_param(params, rng, f"{block}_conv2", c_out, c_out, 3, bias=False)
+    _bn_param(params, bn, f"{block}_bn2", c_out)
+    if c_in != c_out:
+        _conv_param(params, rng, f"{block}_proj", c_out, c_in, 1, bias=False)
+        _bn_param(params, bn, f"{block}_bnp", c_out)
+
+
 def _check_input_size(input_size: int, num_classes: int) -> None:
     if input_size not in SUPPORTED_INPUT_SIZES:
         raise ValueError(f"unsupported input size {input_size}; "
@@ -144,25 +159,12 @@ def build_mini_resnet(num_classes: int, input_channels: int = 3,
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
     bn: dict[str, BatchNormStats] = {}
-    # convs feeding batch norm carry no bias: the normalization would cancel
-    # it, leaving parameters with an exactly-zero gradient
+    # the stem conv feeds batch norm too, so it has no bias either
     _conv_param(params, rng, "stem", 16, input_channels, 3, bias=False)
     _bn_param(params, bn, "stem_bn", 16)
-    for block in ("s1b1", "s1b2"):
-        _conv_param(params, rng, f"{block}_conv1", 16, 16, 3, bias=False)
-        _bn_param(params, bn, f"{block}_bn1", 16)
-        _conv_param(params, rng, f"{block}_conv2", 16, 16, 3, bias=False)
-        _bn_param(params, bn, f"{block}_bn2", 16)
-    _conv_param(params, rng, "s2b1_conv1", 32, 16, 3, bias=False)
-    _bn_param(params, bn, "s2b1_bn1", 32)
-    _conv_param(params, rng, "s2b1_conv2", 32, 32, 3, bias=False)
-    _bn_param(params, bn, "s2b1_bn2", 32)
-    _conv_param(params, rng, "s2b1_proj", 32, 16, 1, bias=False)
-    _bn_param(params, bn, "s2b1_bnp", 32)
-    _conv_param(params, rng, "s2b2_conv1", 32, 32, 3, bias=False)
-    _bn_param(params, bn, "s2b2_bn1", 32)
-    _conv_param(params, rng, "s2b2_conv2", 32, 32, 3, bias=False)
-    _bn_param(params, bn, "s2b2_bn2", 32)
+    for block, c_in, c_out in (("s1b1", 16, 16), ("s1b2", 16, 16),
+                               ("s2b1", 16, 32), ("s2b2", 32, 32)):
+        _res_block_params(params, bn, rng, block, c_in, c_out)
     _dense_param(params, rng, "embed", 32, EMBED_DIM)
     _dense_param(params, rng, "head", EMBED_DIM, num_classes)
     return ModelState(arch="mini_resnet", num_classes=num_classes,
@@ -210,15 +212,23 @@ def _forward_tiny_vgg(model: ModelState, x: Tensor, training: bool) -> ForwardTa
     h = T.conv2d(h, p["conv3_w"], p["conv3_b"], padding=1, relu=True)
     h = T.max_pool2d(h)
     h = T.conv2d(h, p["conv4_w"], p["conv4_b"], padding=1, relu=True)
-    pooled = T.global_avg_pool(h)
+    return _taps(model, h, hebb)
+
+
+def _taps(model: ModelState, features: Tensor, hebb: Tensor) -> ForwardTaps:
+    """The end of every backbone: global pool of the last feature map, the
+    ReLU embedding, the head, and the taps of the Hebbian layer."""
+    p = model.params
+    pooled = T.global_avg_pool(features)
     embedding = T.relu(T.dense(pooled, p["embed_w"], p["embed_b"]))
     logits = T.dense(embedding, p["head_w"], p["head_b"])
     return ForwardTaps(logits=logits, embedding=embedding, hebbian_activation=hebb,
                        hebbian_weight=p[f"{model.hebbian_layer}_w"])
 
 
-def _res_block(model: ModelState, x: Tensor, block: str, training: bool,
-               project: bool = False) -> Tensor:
+def _res_block(model: ModelState, x: Tensor, block: str, training: bool) -> Tensor:
+    """Two conv-bn stages and the shortcut, projected when the block has a
+    projection (``_res_block_params``)."""
     p, bn = model.params, model.bn
     h = T.conv2d(x, p[f"{block}_conv1_w"], padding=1)
     h = T.relu(T.batch_norm2d(h, p[f"{block}_bn1_gamma"], p[f"{block}_bn1_beta"],
@@ -226,7 +236,7 @@ def _res_block(model: ModelState, x: Tensor, block: str, training: bool,
     h = T.conv2d(h, p[f"{block}_conv2_w"], padding=1)
     h = T.batch_norm2d(h, p[f"{block}_bn2_gamma"], p[f"{block}_bn2_beta"],
                        bn[f"{block}_bn2"], training)
-    if project:
+    if f"{block}_proj_w" in p:
         skip = T.conv2d(x, p[f"{block}_proj_w"])
         skip = T.batch_norm2d(skip, p[f"{block}_bnp_gamma"], p[f"{block}_bnp_beta"],
                               bn[f"{block}_bnp"], training)
@@ -243,13 +253,9 @@ def _forward_mini_resnet(model: ModelState, x: Tensor, training: bool) -> Forwar
     h = _res_block(model, h, "s1b1", training)
     h = _res_block(model, h, "s1b2", training)
     h = T.max_pool2d(h)
-    h = _res_block(model, h, "s2b1", training, project=True)
+    h = _res_block(model, h, "s2b1", training)
     hebb = _res_block(model, h, "s2b2", training)
-    pooled = T.global_avg_pool(hebb)
-    embedding = T.relu(T.dense(pooled, p["embed_w"], p["embed_b"]))
-    logits = T.dense(embedding, p["head_w"], p["head_b"])
-    return ForwardTaps(logits=logits, embedding=embedding, hebbian_activation=hebb,
-                       hebbian_weight=p[f"{model.hebbian_layer}_w"])
+    return _taps(model, hebb, hebb)
 
 
 # each architecture's builder and forward; ARCHES lists the names

@@ -1,11 +1,12 @@
 """Reverse-mode automatic differentiation on numpy arrays.
 
-The graph is implicit: every operation returns a new :class:`Tensor` that
-holds references to its parent tensors plus a closure mapping the output
-gradient to parent-gradient contributions.  ``Tensor.backward`` walks the
-graph once in reverse topological order (parent order is fixed at op
-construction, so the visit order is deterministic) and accumulates into
-``.grad``.
+The graph is implicit: every operation makes its output :class:`Tensor`
+in ``_node``, and nowhere else.  The node holds the op's parent tensors, a
+closure mapping the output gradient to parent-gradient contributions, and
+the op's name, which the debug checks report (``set_debug_checks``).
+``Tensor.backward`` walks the graph once in reverse topological order
+(parent order is fixed at op construction, so the visit order is
+deterministic) and accumulates into ``.grad``.
 
 Precision is a run-level switch (float32 unless a ``default_dtype`` block
 says otherwise), not a per-tensor property, so a graph stays homogeneous.
@@ -147,8 +148,9 @@ def default_dtype(name: str):
 
 
 def set_debug_checks(enabled: bool) -> None:
-    """When enabled, every primitive asserts its forward output is finite,
-    and ``Tensor.backward`` the gradients each op's closure wrote."""
+    """When enabled, ``_node`` asserts every op's forward output is finite,
+    and ``Tensor.backward`` the gradients each op's closure wrote; either
+    error names the op."""
     global _debug_checks
     _debug_checks = bool(enabled)
 
@@ -169,23 +171,25 @@ class no_grad:
         _grad_enabled = self._saved
 
 
-def _checked(data: np.ndarray, op: str) -> np.ndarray:
-    if _debug_checks and not np.all(np.isfinite(data)):
+def _checked(data: np.ndarray, op: str) -> None:
+    """The debug check (see ``set_debug_checks``); its callers test the
+    flag, so a run without checks pays no call."""
+    if not np.all(np.isfinite(data)):
         raise FloatingPointError(f"non-finite values produced by {op}")
-    return data
 
 
 class Tensor:
     """A numpy array plus an optional position in the differentiation graph.
 
     Leaf tensors are created directly (``Tensor(data, requires_grad=True)``
-    for parameters); interior nodes are created by the ops in this module.
+    for parameters) and record the op name ``"leaf"``; interior nodes are
+    made by ``_node`` for the ops in this module.
     Tensors are treated as immutable once produced; the only in-place
     mutations are gradient accumulation and the release of interior nodes
     during ``backward``.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=_default_dtype)
@@ -193,6 +197,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
+        self._op = "leaf"
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -218,8 +223,8 @@ class Tensor:
         its ReLU mask in place.
 
         With debug checks on, the gradients a closure leaves in the node's
-        parents must be finite, or ``FloatingPointError`` names the op,
-        taken from the closure's ``__qualname__``.
+        parents must be finite, or ``FloatingPointError`` names the node's
+        op.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar output, got shape {self.shape}")
@@ -236,8 +241,7 @@ class Tensor:
             if _debug_checks:
                 for parent in parents:
                     if parent.grad is not None:
-                        _checked(parent.grad, closure.__qualname__.partition(".")[0]
-                                 + " backward")
+                        _checked(parent.grad, node._op + " backward")
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -269,16 +273,41 @@ def _released(g: np.ndarray) -> None:
                        "its interior nodes were released, so build the forward again")
 
 
-def _node(data: np.ndarray, parents: Sequence[Tensor]) -> Tensor:
+def _records(parents: tuple[Tensor, ...]) -> bool:
+    """Whether an op on ``parents`` records a graph.  Constant subgraphs are
+    pruned, and no_grad prunes everything, so eval-mode forwards build no
+    graph."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
+def _node(data: np.ndarray, parents: tuple[Tensor, ...], op: str,
+          backward: Callable[[np.ndarray], None]) -> Tensor:
+    """The output of the op named ``op``, the only place one is made.
+
+    ``data`` is checked under ``op`` when debug checks are on.  The parents
+    and ``backward``, which maps the output gradient to parent-gradient
+    contributions, are kept only when the node records a graph
+    (``_records``); the name is kept either way.
+    """
+    if _debug_checks:
+        _checked(data, op)
     out = object.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
-    # Constant subgraphs are pruned, and no_grad prunes everything, so
-    # eval-mode forwards build no graph.
-    out._parents = tuple(parents) if out.requires_grad else ()
-    out._backward = None
+    out.requires_grad = _records(parents)
+    if out.requires_grad:
+        out._parents, out._backward = parents, backward
+    else:
+        out._parents, out._backward = (), None
+    out._op = op
     return out
+
+
+def _unary(a: Tensor, data: np.ndarray, op: str,
+           grad: Callable[[np.ndarray], np.ndarray], owned: bool = True) -> Tensor:
+    """The node of a one-parent op whose backward is
+    ``_accum(a, grad(g), owned)``."""
+    return _node(data, (a,), op, lambda g: _accum(a, grad(g), owned))
 
 
 def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
@@ -316,82 +345,56 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "add")
-    out = _node(_checked(a.data + b.data, "add"), (a, b))
-    if out.requires_grad:
-        def bwd(g):
-            if a.requires_grad:
-                _accum(a, g)
-            if b.requires_grad:
-                _accum(b, g)
-        out._backward = bwd
-    return out
+
+    def bwd(g):
+        if a.requires_grad:
+            _accum(a, g)
+        if b.requires_grad:
+            _accum(b, g)
+    return _node(a.data + b.data, (a, b), "add", bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "sub")
-    out = _node(_checked(a.data - b.data, "sub"), (a, b))
-    if out.requires_grad:
-        def bwd(g):
-            if a.requires_grad:
-                _accum(a, g)
-            if b.requires_grad:
-                _accum(b, -g, owned=True)
-        out._backward = bwd
-    return out
+
+    def bwd(g):
+        if a.requires_grad:
+            _accum(a, g)
+        if b.requires_grad:
+            _accum(b, -g, owned=True)
+    return _node(a.data - b.data, (a, b), "sub", bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "mul")
-    out = _node(_checked(a.data * b.data, "mul"), (a, b))
-    if out.requires_grad:
-        a_data, b_data = a.data, b.data
-        def bwd(g):
-            if a.requires_grad:
-                _accum(a, g * b_data, owned=True)
-            if b.requires_grad:
-                _accum(b, g * a_data, owned=True)
-        out._backward = bwd
-    return out
+    a_data, b_data = a.data, b.data
+
+    def bwd(g):
+        if a.requires_grad:
+            _accum(a, g * b_data, owned=True)
+        if b.requires_grad:
+            _accum(b, g * a_data, owned=True)
+    return _node(a_data * b_data, (a, b), "mul", bwd)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
-    out = _node(_checked(a.data * s, "scale"), (a,))
-    if out.requires_grad:
-        def bwd(g):
-            _accum(a, g * s, owned=True)
-        out._backward = bwd
-    return out
+    return _unary(a, a.data * s, "scale", lambda g: g * s)
 
 
 def shift(a: Tensor, c: float) -> Tensor:
-    out = _node(_checked(a.data + float(c), "shift"), (a,))
-    if out.requires_grad:
-        def bwd(g):
-            _accum(a, g)
-        out._backward = bwd
-    return out
+    return _unary(a, a.data + float(c), "shift", lambda g: g, owned=False)
 
 
 def mul_const(a: Tensor, c: np.ndarray) -> Tensor:
     """a * c elementwise for a non-differentiable constant array."""
     _require(a.shape == np.shape(c), "mul_const: shape mismatch {} vs {}", a.shape, np.shape(c))
-    out = _node(_checked(a.data * c, "mul_const"), (a,))
-    if out.requires_grad:
-        def bwd(g):
-            _accum(a, g * c, owned=True)
-        out._backward = bwd
-    return out
+    return _unary(a, a.data * c, "mul_const", lambda g: g * c)
 
 
 def square(a: Tensor) -> Tensor:
-    out = _node(_checked(a.data * a.data, "square"), (a,))
-    if out.requires_grad:
-        a_data = a.data
-        def bwd(g):
-            _accum(a, 2.0 * a_data * g, owned=True)
-        out._backward = bwd
-    return out
+    a_data = a.data
+    return _unary(a, a_data * a_data, "square", lambda g: 2.0 * a_data * g)
 
 
 def squared_distance(a: Tensor, c: np.ndarray) -> Tensor:
@@ -400,37 +403,26 @@ def squared_distance(a: Tensor, c: np.ndarray) -> Tensor:
     _require(a.shape == np.shape(c), "squared_distance: shape mismatch {} vs {}",
              a.shape, np.shape(c))
     d = a.data - c
-    out = _node(_checked(np.add.reduce(d * d, axis=None), "squared_distance"), (a,))
-    if out.requires_grad:
-        def bwd(g):
-            _accum(a, 2.0 * d * g, owned=True)
-        out._backward = bwd
-    return out
+    return _unary(a, np.add.reduce(d * d, axis=None), "squared_distance",
+                  lambda g: 2.0 * d * g)
 
 
 def sqrt(a: Tensor) -> Tensor:
     with np.errstate(invalid="ignore"):
         root = np.sqrt(a.data)
-    out = _node(_checked(root, "sqrt"), (a,))
-    if out.requires_grad:
-        def bwd(g):
-            # Subgradient 0 at the origin, mirroring the relu convention.
-            denom = 2.0 * root
-            ga = np.divide(g, denom, out=np.zeros_like(g), where=denom > 0)
-            _accum(a, ga, owned=True)
-        out._backward = bwd
-    return out
+
+    def grad(g):
+        # Subgradient 0 at the origin, mirroring the relu convention.
+        denom = 2.0 * root
+        return np.divide(g, denom, out=np.zeros_like(g), where=denom > 0)
+    return _unary(a, root, "sqrt", grad)
 
 
 def relu(a: Tensor) -> Tensor:
-    out_data = np.maximum(a.data, 0)
-    out = _node(_checked(out_data, "relu"), (a,))
-    if out.requires_grad:
-        mask = a.data > 0  # subgradient at exactly 0 is 0
-        def bwd(g):
-            _accum(a, g * mask, owned=True)
-        out._backward = bwd
-    return out
+    x = a.data
+    # subgradient at exactly 0 is 0; the mask is made in the backward, so
+    # none is held from the forward
+    return _unary(a, np.maximum(x, 0), "relu", lambda g: g * (x > 0))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -440,21 +432,12 @@ def sigmoid(a: Tensor) -> Tensor:
     out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out_data[~pos] = ex / (1.0 + ex)
-    out = _node(_checked(out_data, "sigmoid"), (a,))
-    if out.requires_grad:
-        def bwd(g):
-            _accum(a, g * out_data * (1.0 - out_data), owned=True)
-        out._backward = bwd
-    return out
+    return _unary(a, out_data, "sigmoid", lambda g: g * out_data * (1.0 - out_data))
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = _node(a.data.reshape(shape), (a,))
-    if out.requires_grad:
-        def bwd(g):
-            _accum(a, g.reshape(a.data.shape))
-        out._backward = bwd
-    return out
+    return _unary(a, a.data.reshape(shape), "reshape",
+                  lambda g: g.reshape(a.data.shape), owned=False)
 
 
 # ---------------------------------------------------------------------------
@@ -477,22 +460,14 @@ def _mean(data: np.ndarray, axes: tuple[int, ...] | None,
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = _node(_checked(np.add.reduce(a.data, axis=None), "sum_all"), (a,))
-    if out.requires_grad:
-        def bwd(g):
-            _accum(a, np.full(a.data.shape, g, dtype=a.data.dtype), owned=True)
-        out._backward = bwd
-    return out
+    return _unary(a, np.add.reduce(a.data, axis=None), "sum_all",
+                  lambda g: np.full(a.data.shape, g, dtype=a.data.dtype))
 
 
 def mean_all(a: Tensor) -> Tensor:
     n = a.data.size
-    out = _node(_checked(_mean(a.data, None), "mean_all"), (a,))
-    if out.requires_grad:
-        def bwd(g):
-            _accum(a, np.full(a.data.shape, g / n, dtype=a.data.dtype), owned=True)
-        out._backward = bwd
-    return out
+    return _unary(a, _mean(a.data, None), "mean_all",
+                  lambda g: np.full(a.data.shape, g / n, dtype=a.data.dtype))
 
 
 def _unreduce(g: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ...]) -> np.ndarray:
@@ -500,22 +475,15 @@ def _unreduce(g: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ...]) -> n
 
 
 def sum_axes(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    out = _node(_checked(np.add.reduce(a.data, axis=axes), "sum_axes"), (a,))
-    if out.requires_grad:
-        def bwd(g):
-            _accum(a, _unreduce(g, a.data.shape, axes))
-        out._backward = bwd
-    return out
+    return _unary(a, np.add.reduce(a.data, axis=axes), "sum_axes",
+                  lambda g: _unreduce(g, a.data.shape, axes), owned=False)
 
 
 def mean_axes(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    out = _node(_checked(_mean(a.data, axes), "mean_axes"), (a,))
-    if out.requires_grad:
+    def grad(g):
         count = math.prod(a.data.shape[ax] for ax in axes)
-        def bwd(g):
-            _accum(a, _unreduce(g / count, a.data.shape, axes))
-        out._backward = bwd
-    return out
+        return _unreduce(g / count, a.data.shape, axes)
+    return _unary(a, _mean(a.data, axes), "mean_axes", grad, owned=False)
 
 
 # ---------------------------------------------------------------------------
@@ -530,18 +498,16 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
              "dense: inner extents disagree, input {} vs weight {}", x.shape, w.shape)
     _require(b.shape == (w.shape[1],),
              "dense: bias shape {} does not match output extent {}", b.shape, w.shape[1])
-    out = _node(_checked(x.data @ w.data + b.data, "dense"), (x, w, b))
-    if out.requires_grad:
-        x_data, w_data = x.data, w.data
-        def bwd(g):
-            if x.requires_grad:
-                _accum(x, g @ w_data.T, owned=True)
-            if w.requires_grad:
-                _accum(w, x_data.T @ g, owned=True)
-            if b.requires_grad:
-                _accum(b, g.sum(axis=0), owned=True)
-        out._backward = bwd
-    return out
+    x_data, w_data = x.data, w.data
+
+    def bwd(g):
+        if x.requires_grad:
+            _accum(x, g @ w_data.T, owned=True)
+        if w.requires_grad:
+            _accum(w, x_data.T @ g, owned=True)
+        if b.requires_grad:
+            _accum(b, g.sum(axis=0), owned=True)
+    return _node(x_data @ w_data + b.data, (x, w, b), "dense", bwd)
 
 
 # Bytes of im2col columns gathered per GEMM: a block this size is still in
@@ -735,14 +701,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, padding: int = 0,
     h_out, w_out = h + 2 * padding - k + 1, wdt + 2 * padding - k + 1
     _require(h_out >= 1 and w_out >= 1,
              "conv2d: kernel {} exceeds input {} padded by {}", w.shape, x.shape, padding)
-    x_data = x.data
+    x_data, w_data = x.data, w.data
     # the blocks of the forward and the weight gradient: the input, zero-padded,
     # with room for its columns and for one [Ho * Wo, C_out] matrix per image
     padded = (x_data, c_in * k * k * h_out * w_out, h_out * w_out * c_out,
               (c_in, h + 2 * padding, wdt + 2 * padding),
               (slice(None), slice(padding, padding + h), slice(padding, padding + wdt)))
 
-    w_cols = w.data.reshape(c_out, -1).T
+    w_cols = w_data.reshape(c_out, -1).T
     out_data = np.empty((n, c_out, h_out, w_out), dtype=x_data.dtype)
 
     def forward_block(i, xp, cols, rows):
@@ -759,61 +725,56 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, padding: int = 0,
 
     for _ in _map_blocks(*padded, forward_block):
         pass
-    parents = (x, w) if b is None else (x, w, b)
-    out = _node(_checked(out_data, "conv2d"), parents)
 
-    if out.requires_grad:
-        w_data = w.data
-        def bwd(g):
-            # g is this closure's own array (see Tensor.backward), so the
-            # ReLU mask is applied to it in place
-            if relu and not w.requires_grad:
-                np.multiply(g, out_data > 0, out=g)
-            g_nhwc = g.transpose(0, 2, 3, 1)
-            if w.requires_grad:
-                def dw_part(i, xp, cols, rows):
-                    if relu:
-                        g_block = g[i:i + len(xp)]
-                        np.multiply(g_block, out_data[i:i + len(xp)] > 0, out=g_block)
-                    g_rows = _leading(rows, (len(xp), h_out, w_out, c_out))
-                    np.copyto(g_rows, g_nhwc[i:i + len(xp)])
-                    return _columns(xp, k, h_out, w_out, cols) @ g_rows.reshape(-1, c_out)
+    def bwd(g):
+        # g is this closure's own array (see Tensor.backward), so the
+        # ReLU mask is applied to it in place
+        if relu and not w.requires_grad:
+            np.multiply(g, out_data > 0, out=g)
+        g_nhwc = g.transpose(0, 2, 3, 1)
+        if w.requires_grad:
+            def dw_part(i, xp, cols, rows):
+                if relu:
+                    g_block = g[i:i + len(xp)]
+                    np.multiply(g_block, out_data[i:i + len(xp)] > 0, out=g_block)
+                g_rows = _leading(rows, (len(xp), h_out, w_out, c_out))
+                np.copyto(g_rows, g_nhwc[i:i + len(xp)])
+                return _columns(xp, k, h_out, w_out, cols) @ g_rows.reshape(-1, c_out)
 
-                # summed over the blocks in block order, as [C_in * K * K,
-                # C_out]: that GEMM layout runs faster than its transpose
-                dw = sum(_map_blocks(*padded, dw_part),
-                         np.zeros((c_in * k * k, c_out), dtype=g.dtype))
-                _accum(w, np.ascontiguousarray(dw.T).reshape(w_data.shape), owned=True)
-            if b is not None and b.requires_grad:
-                _accum(b, g.sum(axis=(0, 2, 3)), owned=True)
-            if x.requires_grad:
-                # dx is the full correlation of the gradient with the flipped
-                # kernel.  gd is g padded by K - 1, so it holds output o at
-                # (K-1) + o in padded-input coordinates, and the window
-                # starting at y covers every output that read input row y;
-                # only windows starting inside the unpadded input are gathered.
-                w_flip = w_data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, c_in)
-                framed = (h_out + 2 * k - 2, w_out + 2 * k - 2, c_out)
-                at_outputs = (slice(k - 1, k - 1 + h_out), slice(k - 1, k - 1 + w_out))
-                dx = np.empty((n, c_in, h, wdt), dtype=g.dtype)
+            # summed over the blocks in block order, as [C_in * K * K,
+            # C_out]: that GEMM layout runs faster than its transpose
+            dw = sum(_map_blocks(*padded, dw_part),
+                     np.zeros((c_in * k * k, c_out), dtype=g.dtype))
+            _accum(w, np.ascontiguousarray(dw.T).reshape(w_data.shape), owned=True)
+        if b is not None and b.requires_grad:
+            _accum(b, g.sum(axis=(0, 2, 3)), owned=True)
+        if x.requires_grad:
+            # dx is the full correlation of the gradient with the flipped
+            # kernel.  gd is g padded by K - 1, so it holds output o at
+            # (K-1) + o in padded-input coordinates, and the window
+            # starting at y covers every output that read input row y;
+            # only windows starting inside the unpadded input are gathered.
+            w_flip = w_data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(-1, c_in)
+            framed = (h_out + 2 * k - 2, w_out + 2 * k - 2, c_out)
+            at_outputs = (slice(k - 1, k - 1 + h_out), slice(k - 1, k - 1 + w_out))
+            dx = np.empty((n, c_in, h, wdt), dtype=g.dtype)
 
-                def dx_block(i, gd, cols, rows):
-                    # the K x K windows starting at each padded-input pixel,
-                    # as two trailing axes
-                    win = np.lib.stride_tricks.sliding_window_view(
-                        gd, (k, k), axis=(1, 2))[:, padding:padding + h, padding:padding + wdt]
-                    win_rows = _leading(cols, (len(gd), h, wdt, k, k, c_out))
-                    np.copyto(win_rows, win.transpose(0, 1, 2, 4, 5, 3))
-                    rows = np.matmul(win_rows.reshape(-1, k * k * c_out), w_flip,
-                                     out=_leading(rows, (len(gd) * h * wdt, c_in)))
-                    dx[i:i + len(gd)] = rows.reshape(-1, h, wdt, c_in).transpose(0, 3, 1, 2)
+            def dx_block(i, gd, cols, rows):
+                # the K x K windows starting at each padded-input pixel,
+                # as two trailing axes
+                win = np.lib.stride_tricks.sliding_window_view(
+                    gd, (k, k), axis=(1, 2))[:, padding:padding + h, padding:padding + wdt]
+                win_rows = _leading(cols, (len(gd), h, wdt, k, k, c_out))
+                np.copyto(win_rows, win.transpose(0, 1, 2, 4, 5, 3))
+                rows = np.matmul(win_rows.reshape(-1, k * k * c_out), w_flip,
+                                 out=_leading(rows, (len(gd) * h * wdt, c_in)))
+                dx[i:i + len(gd)] = rows.reshape(-1, h, wdt, c_in).transpose(0, 3, 1, 2)
 
-                for _ in _map_blocks(g_nhwc, h * wdt * k * k * c_out, h * wdt * c_in,
-                                     framed, at_outputs, dx_block):
-                    pass
-                _accum(x, dx, owned=True)
-        out._backward = bwd
-    return out
+            for _ in _map_blocks(g_nhwc, h * wdt * k * k * c_out, h * wdt * c_in,
+                                 framed, at_outputs, dx_block):
+                pass
+            _accum(x, dx, owned=True)
+    return _node(out_data, (x, w) if b is None else (x, w, b), "conv2d", bwd)
 
 
 def max_pool2d(x: Tensor) -> Tensor:
@@ -835,25 +796,22 @@ def max_pool2d(x: Tensor) -> Tensor:
         # on a tie np.maximum returns its second operand, so the earlier
         # offset keeps its bits (+0.0 against -0.0)
         np.maximum(x_data[..., i::2, j::2], out_data, out=out_data)
-    out = _node(_checked(out_data, "max_pool2d"), (x,))
 
-    if out.requires_grad:
-        def bwd(g):
-            # the windows tile the input, so the offsets write all of gx
-            gx = np.empty((n, c, h, w), dtype=g.dtype)
-            # an offset takes the windows where it holds the maximum and no
-            # earlier offset did: ``free`` marks the windows not yet taken,
-            # and a hit lies inside it, so xor removes it
-            free = np.ones(out_data.shape, dtype=bool)
-            hit = np.empty_like(free)
-            for i, j in offsets:
-                np.equal(x_data[..., i::2, j::2], out_data, out=hit)
-                hit &= free
-                free ^= hit
-                np.multiply(g, hit, out=gx[..., i::2, j::2])
-            _accum(x, gx, owned=True)
-        out._backward = bwd
-    return out
+    def bwd(g):
+        # the windows tile the input, so the offsets write all of gx
+        gx = np.empty((n, c, h, w), dtype=g.dtype)
+        # an offset takes the windows where it holds the maximum and no
+        # earlier offset did: ``free`` marks the windows not yet taken,
+        # and a hit lies inside it, so xor removes it
+        free = np.ones(out_data.shape, dtype=bool)
+        hit = np.empty_like(free)
+        for i, j in offsets:
+            np.equal(x_data[..., i::2, j::2], out_data, out=hit)
+            hit &= free
+            free ^= hit
+            np.multiply(g, hit, out=gx[..., i::2, j::2])
+        _accum(x, gx, owned=True)
+    return _node(out_data, (x,), "max_pool2d", bwd)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -925,31 +883,29 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: BatchNormStats,
 
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv_std
-    keep = _grad_enabled and (x.requires_grad or gamma.requires_grad or beta.requires_grad)
+    parents = (x, gamma, beta)
+    keep = _records(parents)
     out_data = np.multiply(xhat, gamma.data.reshape(per_channel), out=None if keep else xhat)
     out_data += beta.data.reshape(per_channel)
-    out = _node(_checked(out_data, "batch_norm2d"), (x, gamma, beta))
+    gamma_data = gamma.data
+    count = n * h * w
 
-    if out.requires_grad:
-        gamma_data = gamma.data
-        count = n * h * w
-        def bwd(g):
-            gsum = g.sum(axis=(0, 2, 3))
-            gx_sum = (g * xhat).sum(axis=(0, 2, 3))
-            if gamma.requires_grad:
-                _accum(gamma, gx_sum, owned=True)
-            if beta.requires_grad:
-                _accum(beta, gsum, owned=True)
-            if x.requires_grad:
-                coeff = gamma_data.reshape(1, c, 1, 1) * inv_std
-                if training:
-                    gx = coeff * (g - gsum[None, :, None, None] / count
-                                  - xhat * gx_sum[None, :, None, None] / count)
-                else:
-                    gx = coeff * g
-                _accum(x, gx, owned=True)
-        out._backward = bwd
-    return out
+    def bwd(g):
+        gsum = g.sum(axis=(0, 2, 3))
+        gx_sum = (g * xhat).sum(axis=(0, 2, 3))
+        if gamma.requires_grad:
+            _accum(gamma, gx_sum, owned=True)
+        if beta.requires_grad:
+            _accum(beta, gsum, owned=True)
+        if x.requires_grad:
+            coeff = gamma_data.reshape(1, c, 1, 1) * inv_std
+            if training:
+                gx = coeff * (g - gsum[None, :, None, None] / count
+                              - xhat * gx_sum[None, :, None, None] / count)
+            else:
+                gx = coeff * g
+            _accum(x, gx, owned=True)
+    return _node(out_data, parents, "batch_norm2d", bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -963,13 +919,12 @@ def log_softmax(logits: Tensor) -> Tensor:
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.sum(np.exp(z), axis=1, keepdims=True))
     out_data = z - lse
-    out = _node(_checked(out_data, "log_softmax"), (logits,))
-    if out.requires_grad:
-        softmax = np.exp(out_data)
-        def bwd(g):
-            _accum(logits, g - softmax * g.sum(axis=1, keepdims=True), owned=True)
-        out._backward = bwd
-    return out
+    # Made in the forward, not the backward (same values): made in the
+    # backward, among the arrays it frees, it raised p1_vgg32's peak RSS
+    # from 133 MB to 143-157 MB in more checkout directories (heap layout).
+    softmax = np.exp(out_data) if _records((logits,)) else None
+    return _unary(logits, out_data, "log_softmax",
+                  lambda g: g - softmax * g.sum(axis=1, keepdims=True))
 
 
 def pick(a: Tensor, indices: np.ndarray) -> Tensor:
@@ -982,14 +937,12 @@ def pick(a: Tensor, indices: np.ndarray) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= k):
         raise ValueError(f"pick: index out of range [0, {k})")
     rows = np.arange(n)
-    out = _node(a.data[rows, idx], (a,))
-    if out.requires_grad:
-        def bwd(g):
-            ga = np.zeros_like(a.data)
-            ga[rows, idx] = g
-            _accum(a, ga, owned=True)
-        out._backward = bwd
-    return out
+
+    def grad(g):
+        ga = np.zeros_like(a.data)
+        ga[rows, idx] = g
+        return ga
+    return _unary(a, a.data[rows, idx], "pick", grad)
 
 
 # ---------------------------------------------------------------------------

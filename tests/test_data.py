@@ -56,6 +56,17 @@ class TestSynthetic:
                                                  samples_per_class=1))
 
 
+    # noise is the pixel noise's standard deviation: a negative or NaN one
+    # would silently give noise-free images
+    @pytest.mark.parametrize("field,value", [
+        ("noise", -0.5), ("noise", np.nan), ("noise", np.inf),
+        ("num_classes", 0), ("samples_per_class", 0)])
+    def test_invalid_spec_field_is_rejected(self, field, value):
+        spec = D.SyntheticSpec(**{"num_classes": 2, "samples_per_class": 2, field: value})
+        with pytest.raises(D.DataError, match=f"^SyntheticSpec.{field} must be "):
+            D.generate_synthetic(spec)
+
+
 class TestCifar:
     def test_handcrafted_cifar10_record(self, tmp_path):
         pixels = np.arange(3072, dtype=np.uint8)
@@ -137,6 +148,16 @@ class TestAugment:
         message = f"pad_crop: y offsets of shape {shape} for images of shape (3, 2, 8, 8)"
         with pytest.raises(D.DataError, match=re.escape(message)):
             D.pad_crop(batch, offsets_y, 4)
+
+    # a fractional offset would be truncated and a bool read as 0 or 1
+    @pytest.mark.parametrize("offsets_y,offsets_x,axis,dtype", [
+        (1.5, 2, "y", "float64"), (4, np.array([True, False, True]), "x", "bool")])
+    def test_offsets_that_are_not_integers_are_rejected(self, offsets_y, offsets_x,
+                                                         axis, dtype):
+        batch = np.ones((3, 2, 8, 8), dtype=np.float32)
+        message = f"pad_crop: {axis} offsets must be integers, got dtype {dtype}"
+        with pytest.raises(D.DataError, match=re.escape(message)):
+            D.pad_crop(batch, offsets_y, offsets_x)
 
     def test_extreme_offsets_crop_a_corner(self):
         batch = np.ones((2, 1, 8, 8), dtype=np.float32)

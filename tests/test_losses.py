@@ -53,6 +53,12 @@ class TestCrossEntropy:
         with pytest.raises(ValueError, match="out of range"):
             L.cross_entropy(leaf(np.zeros((2, 3))), np.array([0, 3]))
 
+    def test_empty_batch_is_rejected(self):
+        # a mean over no rows would be NaN, with numpy's divide warning
+        with pytest.raises(ValueError, match=r"^cross_entropy: empty batch, "
+                                             r"logits of shape \(0, 3\)$"):
+            L.cross_entropy(leaf(np.zeros((0, 3))), np.zeros(0, dtype=int))
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
         z = rng.normal(size=(6, 7)) * 3
@@ -187,6 +193,12 @@ class TestPairwiseMarginLoss:
         e = leaf(np.zeros((3, 2)))
         with pytest.raises(ValueError, match=r"same_class of shape \(3,\), got \(2,\)"):
             L.pairwise_margin_loss(e, e, np.array([True, False]), 1.0)
+
+    def test_empty_batch_is_rejected(self):
+        e = leaf(np.zeros((0, 4)))
+        with pytest.raises(ValueError, match=r"^pairwise_margin_loss: empty batch, "
+                                             r"embeddings of shape \(0, 4\)$"):
+            L.pairwise_margin_loss(e, e, np.zeros(0, dtype=bool), 1.0)
 
     def test_batch_averages_pairs(self):
         a = leaf([[0.0], [0.0]])

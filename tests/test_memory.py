@@ -177,8 +177,7 @@ def test_tiny_vgg_forward_holds_no_conv_pre_activation(monkeypatch):
         tracemalloc.stop()
     # the embedding's is the only ReLU node left; the Hebbian tap is conv2's
     # own output
-    ops = [node._backward.__qualname__.partition(".")[0]
-           for node in T._topo_order(taps.logits) if node._backward is not None]
+    ops = [node._op for node in T._topo_order(taps.logits)]
     assert ops.count("conv2d") == 4 and ops.count("relu") == 1
     assert taps.hebbian_activation._parents[1:] == (model.params["conv2_w"],
                                                     model.params["conv2_b"])

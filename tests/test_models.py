@@ -1,5 +1,7 @@
 """Backbone tests: shape contracts, tap placement, and gradient fidelity."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -286,3 +288,34 @@ def test_each_backward_closure_owns_its_gradient(arch, phase):
     assert len(received) > 20
     for i, g in enumerate(received):
         assert not any(np.may_share_memory(g, other) for other in received[i + 1:] + held)
+
+
+@pytest.mark.parametrize("arch", M.ARCHES)
+@pytest.mark.parametrize("phase", [1, 2])
+@pytest.mark.parametrize("precision", T.PRECISIONS)
+def test_objectives_pass_the_debug_checks(arch, phase, precision):
+    # With debug checks on, every op checks its forward output and backward
+    # checks every gradient.  A phase objective built, backpropagated and
+    # followed by an eval forward trips neither, and warns nowhere.
+    rng = np.random.default_rng(16)
+    x, labels = rng.random((4, 3, 16, 16)), np.array([0, 1, 2, 0])
+    with T.default_dtype(precision), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = M.build_model(arch, num_classes=3, input_size=16, seed=4)
+        nm = L.build_neuromodulator(seed=5)
+        frozen = {k: v + 0.05 for k, v in model.snapshot_params().items()}
+        T.set_debug_checks(True)
+        try:
+            taps = M.forward(model, x, "train")
+            if phase == 1:
+                loss = L.phase1_loss(taps, labels, nm, TrainConfig()).total
+            else:
+                loss = L.phase2_loss(taps, M.forward(model, x[::-1], "train"), labels,
+                                     labels[::-1], model, frozen, nm, TrainConfig()).total
+            loss.backward()
+            logits = M.forward(model, x, "eval").logits
+        finally:
+            T.set_debug_checks(False)
+    leaves = [*model.params.values(), *nm.params.values()]
+    assert all(p.grad is not None and p.grad.dtype == precision for p in leaves)
+    assert np.isfinite(loss.item()) and np.all(np.isfinite(logits.data))

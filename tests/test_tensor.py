@@ -1,5 +1,6 @@
 """Autodiff engine tests: forward fixtures plus finite-difference oracles."""
 
+import inspect
 import os
 import re
 import signal
@@ -962,6 +963,75 @@ class TestGraph:
                 T.set_debug_checks(False)
 
 
+def _ones(x):
+    return leaf(np.ones(x.shape), requires_grad=False)
+
+
+# Every public op: the shape of its input x, a call on x, and the name its
+# node records.  global_avg_pool is mean_axes over H and W, and records that.
+OP_CALLS = [
+    ("add", (2, 3), lambda x: T.add(x, _ones(x)), "add"),
+    ("sub", (2, 3), lambda x: T.sub(x, _ones(x)), "sub"),
+    ("mul", (2, 3), lambda x: T.mul(x, _ones(x)), "mul"),
+    ("scale", (2, 3), lambda x: T.scale(x, 2.0), "scale"),
+    ("shift", (2, 3), lambda x: T.shift(x, 1.0), "shift"),
+    ("mul_const", (2, 3), lambda x: T.mul_const(x, np.ones(x.shape)), "mul_const"),
+    ("square", (2, 3), T.square, "square"),
+    ("squared_distance", (2, 3), lambda x: T.squared_distance(x, np.ones(x.shape)),
+     "squared_distance"),
+    ("sqrt", (2, 3), T.sqrt, "sqrt"),
+    ("relu", (2, 3), T.relu, "relu"),
+    ("sigmoid", (2, 3), T.sigmoid, "sigmoid"),
+    ("reshape", (2, 3), lambda x: T.reshape(x, (3, 2)), "reshape"),
+    ("sum_all", (2, 3), T.sum_all, "sum_all"),
+    ("mean_all", (2, 3), T.mean_all, "mean_all"),
+    ("sum_axes", (2, 3), lambda x: T.sum_axes(x, (1,)), "sum_axes"),
+    ("mean_axes", (2, 3), lambda x: T.mean_axes(x, (1,)), "mean_axes"),
+    ("dense", (2, 3), lambda x: T.dense(x, _ones(np.ones((3, 4))), _ones(np.ones(4))),
+     "dense"),
+    ("conv2d", (1, 1, 4, 4),
+     lambda x: T.conv2d(x, _ones(np.ones((2, 1, 3, 3))), padding=1), "conv2d"),
+    ("max_pool2d", (1, 1, 4, 4), T.max_pool2d, "max_pool2d"),
+    ("global_avg_pool", (1, 2, 2, 2), T.global_avg_pool, "mean_axes"),
+    ("batch_norm2d", (2, 1, 2, 2),
+     lambda x: T.batch_norm2d(x, _ones(np.ones(1)), _ones(np.ones(1)),
+                              T.BatchNormStats(1), True), "batch_norm2d"),
+    ("log_softmax", (2, 3), T.log_softmax, "log_softmax"),
+    ("pick", (2, 3), lambda x: T.pick(x, np.array([0, 1])), "pick"),
+]
+
+
+class TestOpRecords:
+    def test_every_public_op_is_listed(self):
+        public = {name for name, fn in vars(T).items()
+                  if not name.startswith("_") and inspect.isfunction(fn)
+                  and fn.__module__ == T.__name__}
+        not_ops = {"default_dtype", "set_debug_checks", "check_gradients"}
+        assert public - not_ops == {name for name, *_ in OP_CALLS}
+
+    # the NaN is the first element of x, which every op here carries into
+    # its output (pick picks it, pooling and batch norm propagate it)
+    @pytest.mark.parametrize("name,shape,call,recorded", OP_CALLS,
+                             ids=[case[0] for case in OP_CALLS])
+    def test_op_records_its_name_and_checks_its_output(self, name, shape, call, recorded):
+        values = np.linspace(0.5, 1.5, int(np.prod(shape))).reshape(shape)
+        out = call(leaf(values))
+        assert out.requires_grad and out._op == recorded
+        with T.no_grad():
+            assert call(leaf(values))._op == recorded
+        values.flat[0] = np.nan
+        T.set_debug_checks(True)
+        try:
+            with pytest.raises(FloatingPointError,
+                               match=f"^non-finite values produced by {recorded}$"):
+                call(leaf(values))
+        finally:
+            T.set_debug_checks(False)
+
+    def test_a_leaf_records_leaf(self):
+        assert leaf([1.0])._op == "leaf"
+
+
 class TestCheckGradients:
     def test_quadratic_fixture(self):
         w = leaf([3.0])
@@ -1017,8 +1087,8 @@ class TestCheckGradients:
         w = leaf([0.0])
 
         def nan_gradient():
-            out = T._node(w.data.copy(), (w,))
-            out._backward = lambda g: T._accum(w, np.full(1, np.nan), owned=True)
+            out = T._node(w.data.copy(), (w,), "nan_gradient",
+                          lambda g: T._accum(w, np.full(1, np.nan), owned=True))
             return T.sum_all(out)
 
         # sqrt's objective is NaN at the probe below 0
