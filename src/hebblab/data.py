@@ -34,6 +34,13 @@ def _check_labels(labels: np.ndarray, num_classes: int, where: str) -> None:
                         f"outside [0, {num_classes})")
 
 
+def _check_batch(images: np.ndarray, where: str) -> None:
+    """Reject ``images`` unless it is a batch of images, [N, C, H, W]."""
+    if np.ndim(images) != 4:
+        raise DataError(f"{where}: expected a batch of images [N, C, H, W], "
+                        f"got shape {np.shape(images)}")
+
+
 @dataclass
 class SyntheticSpec:
     """Parametric class generators: oriented gratings and Gaussian blobs.
@@ -187,6 +194,7 @@ def pad_crop(images: np.ndarray, offsets_y, offsets_x) -> np.ndarray:
     integer raises ``DataError`` naming its axis, and one outside ``[0, 2 *
     CROP_PAD]`` names the first such image.
     """
+    _check_batch(images, "pad_crop")
     n, _, h, w = images.shape
     per_image = []
     for axis, offsets in (("y", offsets_y), ("x", offsets_x)):
@@ -221,6 +229,7 @@ def augment_batch(images: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     Draw order is fixed (flips, then crop offsets) so a seeded generator
     reproduces the exact augmentation stream.
     """
+    _check_batch(images, "augment_batch")
     out = images.copy()
     mask = rng.random(images.shape[0]) < 0.5
     out[mask] = out[mask, :, :, ::-1]
@@ -234,6 +243,7 @@ def augment_batch(images: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def channel_stats(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    _check_batch(images, "channel_stats")
     mean = images.mean(axis=(0, 2, 3))
     std = np.maximum(images.std(axis=(0, 2, 3)), 1e-6)
     return mean.astype(np.float32), std.astype(np.float32)
@@ -243,6 +253,7 @@ def normalize_images(images: np.ndarray, mean: np.ndarray,
                      std: np.ndarray) -> np.ndarray:
     """(images - mean) / std per channel, divided in place in the difference,
     so only one new array is made."""
+    _check_batch(images, "normalize_images")
     out = images - mean[None, :, None, None]
     out /= std[None, :, None, None]
     return out
@@ -250,6 +261,7 @@ def normalize_images(images: np.ndarray, mean: np.ndarray,
 
 def denormalize_images(images: np.ndarray, mean: np.ndarray,
                        std: np.ndarray) -> np.ndarray:
+    _check_batch(images, "denormalize_images")
     return images * std[None, :, None, None] + mean[None, :, None, None]
 
 

@@ -22,6 +22,9 @@ from . import models as M
 from . import tensor as T
 from .config import TrainConfig
 
+SEED = 0  # of the suite's models, batches and probe subsamples
+EPS = (1e-5, 1e-6, 1e-7)  # the FD step sizes (see check_gradients)
+
 
 def _frozen_gate(loss):
     """Closure over ``loss(gate_input)`` with the gate input fixed at the
@@ -58,22 +61,21 @@ class GradCheckResult:
         return self.max_rel_error < self.tolerance
 
 
-def run_gradcheck(max_elements_per_param: int = 4, seed: int = 0,
-                  tolerance: float = 1e-4,
-                  eps=(1e-5, 1e-6, 1e-7)) -> list[GradCheckResult]:
+def run_gradcheck(max_elements_per_param: int = 4,
+                  tolerance: float = 1e-4) -> list[GradCheckResult]:
     """Run the FD suite: both backbones x both phase losses, 64-bit.
 
     Every theta and phi parameter tensor is probed on a deterministic
-    subsample of ``max_elements_per_param`` elements, over a schedule of
-    step sizes (see ``check_gradients``).
+    subsample of ``max_elements_per_param`` elements, over the step sizes
+    ``EPS`` (see ``check_gradients``).
     """
     results = []
     with T.default_dtype("float64"):
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(SEED)
         for arch in M.ARCHES:
             model = M.build_model(arch, num_classes=3, input_size=16,
-                                  seed=seed + 1)
-            nm = L.build_neuromodulator(seed=seed + 2)
+                                  seed=SEED + 1)
+            nm = L.build_neuromodulator(seed=SEED + 2)
             config = TrainConfig()
             params = list(model.params.values()) + list(nm.params.values())
 
@@ -81,8 +83,8 @@ def run_gradcheck(max_elements_per_param: int = 4, seed: int = 0,
             labels = rng.integers(0, 3, size=2)
             err = T.check_gradients(
                 phase1_closure(model, nm, x, labels, config), params,
-                eps=eps, max_elements_per_param=max_elements_per_param,
-                seed=seed)
+                eps=EPS, max_elements_per_param=max_elements_per_param,
+                seed=SEED)
             results.append(GradCheckResult(f"{arch}/phase1", err, tolerance))
 
             # one pair for the plain stack; two pairs where batch norm
@@ -97,7 +99,7 @@ def run_gradcheck(max_elements_per_param: int = 4, seed: int = 0,
             err = T.check_gradients(
                 phase2_closure(model, nm, x_a, x_b, labels_a, labels_b,
                                frozen, config), params,
-                eps=eps, max_elements_per_param=max_elements_per_param,
-                seed=seed)
+                eps=EPS, max_elements_per_param=max_elements_per_param,
+                seed=SEED)
             results.append(GradCheckResult(f"{arch}/phase2", err, tolerance))
     return results

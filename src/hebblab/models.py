@@ -36,9 +36,6 @@ class ParamSet:
 
     params: dict[str, Tensor]
 
-    def parameter_count(self) -> int:
-        return sum(p.data.size for p in self.params.values())
-
     def snapshot_params(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.params.items()}
 
@@ -62,7 +59,6 @@ class ParamSet:
 @dataclass(kw_only=True)
 class ModelState(ParamSet):
     arch: str
-    num_classes: int
     input_channels: int
     input_size: int
     bn: dict[str, BatchNormStats] = field(default_factory=dict)
@@ -141,9 +137,8 @@ def build_tiny_vgg(num_classes: int, input_channels: int = 3,
     _conv_param(params, rng, "conv4", 128, 64, 3)
     _dense_param(params, rng, "embed", 128, EMBED_DIM)
     _dense_param(params, rng, "head", EMBED_DIM, num_classes)
-    return ModelState(arch="tiny_vgg", num_classes=num_classes,
-                      input_channels=input_channels, input_size=input_size,
-                      params=params, hebbian_layer="conv2")
+    return ModelState(arch="tiny_vgg", input_channels=input_channels,
+                      input_size=input_size, params=params, hebbian_layer="conv2")
 
 
 def build_mini_resnet(num_classes: int, input_channels: int = 3,
@@ -167,9 +162,9 @@ def build_mini_resnet(num_classes: int, input_channels: int = 3,
         _res_block_params(params, bn, rng, block, c_in, c_out)
     _dense_param(params, rng, "embed", 32, EMBED_DIM)
     _dense_param(params, rng, "head", EMBED_DIM, num_classes)
-    return ModelState(arch="mini_resnet", num_classes=num_classes,
-                      input_channels=input_channels, input_size=input_size,
-                      params=params, bn=bn, hebbian_layer="s2b2_conv2")
+    return ModelState(arch="mini_resnet", input_channels=input_channels,
+                      input_size=input_size, params=params, bn=bn,
+                      hebbian_layer="s2b2_conv2")
 
 
 def build_model(arch: str, num_classes: int, input_channels: int = 3,

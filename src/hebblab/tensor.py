@@ -2,11 +2,12 @@
 
 The graph is implicit: every operation makes its output :class:`Tensor`
 in ``_node``, and nowhere else.  The node holds the op's parent tensors, a
-closure mapping the output gradient to parent-gradient contributions, and
-the op's name, which the debug checks report (``set_debug_checks``).
-``Tensor.backward`` walks the graph once in reverse topological order
-(parent order is fixed at op construction, so the visit order is
-deterministic) and accumulates into ``.grad``.
+closure mapping the output gradient to one gradient per parent (``None``
+where none is needed), and the op's name, which the debug checks report
+(``set_debug_checks``).  ``Tensor.backward`` walks the graph once in reverse
+topological order (parent order is fixed at op construction, so the visit
+order is deterministic) and is the only code that checks, keeps or adds a
+gradient into ``.grad``.
 
 Precision is a run-level switch (float32 unless a ``default_dtype`` block
 says otherwise), not a per-tensor property, so a graph stays homogeneous.
@@ -40,10 +41,12 @@ ops that read it have passed it on, and an activation only until the last
 closure that kept it has run, unless the caller holds it.  Leaves keep their
 ``.grad``; a second backward through a released graph raises.  A closure
 owns the gradient array it is handed (``Tensor.backward``) and may overwrite
-it.  ``conv2d(..., relu=True)`` fuses bias and ReLU into its output blocks,
-so no pre-activation array is made or kept: its backward takes the ReLU
-mask from the output (``out > 0`` is ``pre > 0``, also at NaN and at -0.0)
-and applies it to its own gradient in place, a block at a time.
+it: the gradients it returns are kept as its parents' ``.grad`` when it
+has just made them, and copied when they share the handed array's memory.
+``conv2d(..., relu=True)`` fuses bias and ReLU into its output blocks, so no
+pre-activation array is made or kept: its backward takes the ReLU mask from
+the output (``out > 0`` is ``pre > 0``, also at NaN and at -0.0) and applies
+it to its own gradient in place, a block at a time.
 
 A training step allocates the same arrays every time and frees them during
 its backward or when the caller drops its outputs.  glibc returns freed
@@ -149,7 +152,7 @@ def default_dtype(name: str):
 
 def set_debug_checks(enabled: bool) -> None:
     """When enabled, ``_node`` asserts every op's forward output is finite,
-    and ``Tensor.backward`` the gradients each op's closure wrote; either
+    and ``Tensor.backward`` each gradient an op's closure returns; either
     error names the op."""
     global _debug_checks
     _debug_checks = bool(enabled)
@@ -196,7 +199,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._backward: Callable[[np.ndarray], tuple] | None = None
         self._op = "leaf"
 
     @property
@@ -216,15 +219,26 @@ class Tensor:
         ops that read it have passed it on.  A second ``backward()`` through
         a released node raises ``RuntimeError``; build the forward again.
 
-        A closure is handed the node's ``.grad`` and is then the only holder
-        of that array: ``_accum`` keeps only arrays an op has just made, or
-        copies, so no other gradient, leaf or activation shares its memory.
-        A closure may therefore overwrite its ``g``, as ``conv2d`` applies
-        its ReLU mask in place.
+        A closure is handed the node's ``.grad`` and returns one gradient
+        per parent, in parent order, or ``None`` for a parent it computed
+        none for.  Each is an array the closure has just made, or the
+        handed array or a view of it.  Only this loop puts gradients into
+        ``.grad``, and it skips parents that need none.  A parent's first
+        gradient becomes its ``.grad`` when it is a writeable array of the
+        parent's dtype that shares no memory with the handed array, so one
+        just made; anything else (the handed array passed through, a view
+        or broadcast of it, a numpy scalar) is copied.  Later gradients are
+        added in place.  So a closure is the only holder of the array it is
+        handed and may overwrite it, as ``conv2d`` applies its ReLU mask in
+        place.
 
-        With debug checks on, the gradients a closure leaves in the node's
-        parents must be finite, or ``FloatingPointError`` names the node's
-        op.
+        With debug checks on, each gradient a closure returns must be
+        finite, or ``FloatingPointError`` names the node's op.  The check
+        reads what the closure made, not the sum in ``.grad``: a ``.grad``
+        already non-finite is not blamed on the op that adds to it, and a
+        sum that overflows only when two finite gradients are added is not
+        reported at a leaf; at an interior node it shows up as the
+        non-finite output of the next closure that reads it.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar output, got shape {self.shape}")
@@ -237,11 +251,19 @@ class Tensor:
             if closure is None:
                 continue
             node.grad, node._parents, node._backward = None, (), _released
-            closure(grad)
-            if _debug_checks:
-                for parent in parents:
-                    if parent.grad is not None:
-                        _checked(parent.grad, node._op + " backward")
+            for parent, g in zip(parents, closure(grad), strict=True):
+                if g is None or not parent.requires_grad:
+                    continue
+                if _debug_checks:
+                    _checked(g, node._op + " backward")
+                if parent.grad is not None:
+                    parent.grad += g
+                elif (isinstance(g, np.ndarray) and g.dtype == parent.data.dtype
+                      and g.flags.writeable and not np.may_share_memory(g, grad)):
+                    parent.grad = g
+                else:
+                    parent.grad = np.array(g, dtype=parent.data.dtype)
+            del g  # an added gradient is freed before the next closure runs
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -281,13 +303,13 @@ def _records(parents: tuple[Tensor, ...]) -> bool:
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], op: str,
-          backward: Callable[[np.ndarray], None]) -> Tensor:
+          backward: Callable[[np.ndarray], tuple]) -> Tensor:
     """The output of the op named ``op``, the only place one is made.
 
     ``data`` is checked under ``op`` when debug checks are on.  The parents
-    and ``backward``, which maps the output gradient to parent-gradient
-    contributions, are kept only when the node records a graph
-    (``_records``); the name is kept either way.
+    and ``backward``, which maps the output gradient to a tuple of one
+    gradient per parent (see ``Tensor.backward``), are kept only when the
+    node records a graph (``_records``); the name is kept either way.
     """
     if _debug_checks:
         _checked(data, op)
@@ -304,27 +326,9 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], op: str,
 
 
 def _unary(a: Tensor, data: np.ndarray, op: str,
-           grad: Callable[[np.ndarray], np.ndarray], owned: bool = True) -> Tensor:
-    """The node of a one-parent op whose backward is
-    ``_accum(a, grad(g), owned)``."""
-    return _node(data, (a,), op, lambda g: _accum(a, grad(g), owned))
-
-
-def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
-    """Add ``g`` into ``t.grad``.
-
-    ``owned`` says the closure has just allocated ``g`` and holds no other
-    reference to it, so the first accumulation may keep it as ``t.grad``.
-    Any other array is copied first: closures pass their output gradient
-    through (``add`` hands the same array to both parents) or pass views
-    of it (``reshape``, broadcasts), which a later ``+=`` must not write.
-    A numpy scalar or an array of another dtype is converted either way.
-    """
-    if t.grad is None:
-        keep = owned and isinstance(g, np.ndarray) and g.dtype == t.data.dtype
-        t.grad = g if keep else np.array(g, dtype=t.data.dtype)
-    else:
-        t.grad += g
+           grad: Callable[[np.ndarray], np.ndarray]) -> Tensor:
+    """The node of a one-parent op whose parent's gradient is ``grad(g)``."""
+    return _node(data, (a,), op, lambda g: (grad(g),))
 
 
 def _require(condition: bool, message: str, *args) -> None:
@@ -345,36 +349,21 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "add")
-
-    def bwd(g):
-        if a.requires_grad:
-            _accum(a, g)
-        if b.requires_grad:
-            _accum(b, g)
-    return _node(a.data + b.data, (a, b), "add", bwd)
+    return _node(a.data + b.data, (a, b), "add", lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "sub")
-
-    def bwd(g):
-        if a.requires_grad:
-            _accum(a, g)
-        if b.requires_grad:
-            _accum(b, -g, owned=True)
-    return _node(a.data - b.data, (a, b), "sub", bwd)
+    return _node(a.data - b.data, (a, b), "sub",
+                 lambda g: (g, -g if b.requires_grad else None))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "mul")
     a_data, b_data = a.data, b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            _accum(a, g * b_data, owned=True)
-        if b.requires_grad:
-            _accum(b, g * a_data, owned=True)
-    return _node(a_data * b_data, (a, b), "mul", bwd)
+    return _node(a_data * b_data, (a, b), "mul",
+                 lambda g: (g * b_data if a.requires_grad else None,
+                            g * a_data if b.requires_grad else None))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -383,7 +372,7 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def shift(a: Tensor, c: float) -> Tensor:
-    return _unary(a, a.data + float(c), "shift", lambda g: g, owned=False)
+    return _unary(a, a.data + float(c), "shift", lambda g: g)
 
 
 def mul_const(a: Tensor, c: np.ndarray) -> Tensor:
@@ -437,7 +426,7 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _unary(a, a.data.reshape(shape), "reshape",
-                  lambda g: g.reshape(a.data.shape), owned=False)
+                  lambda g: g.reshape(a.data.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -476,14 +465,14 @@ def _unreduce(g: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ...]) -> n
 
 def sum_axes(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     return _unary(a, np.add.reduce(a.data, axis=axes), "sum_axes",
-                  lambda g: _unreduce(g, a.data.shape, axes), owned=False)
+                  lambda g: _unreduce(g, a.data.shape, axes))
 
 
 def mean_axes(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     def grad(g):
         count = math.prod(a.data.shape[ax] for ax in axes)
         return _unreduce(g / count, a.data.shape, axes)
-    return _unary(a, _mean(a.data, axes), "mean_axes", grad, owned=False)
+    return _unary(a, _mean(a.data, axes), "mean_axes", grad)
 
 
 # ---------------------------------------------------------------------------
@@ -500,14 +489,10 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
              "dense: bias shape {} does not match output extent {}", b.shape, w.shape[1])
     x_data, w_data = x.data, w.data
 
-    def bwd(g):
-        if x.requires_grad:
-            _accum(x, g @ w_data.T, owned=True)
-        if w.requires_grad:
-            _accum(w, x_data.T @ g, owned=True)
-        if b.requires_grad:
-            _accum(b, g.sum(axis=0), owned=True)
-    return _node(x_data @ w_data + b.data, (x, w, b), "dense", bwd)
+    return _node(x_data @ w_data + b.data, (x, w, b), "dense",
+                 lambda g: (g @ w_data.T if x.requires_grad else None,
+                            x_data.T @ g if w.requires_grad else None,
+                            g.sum(axis=0) if b.requires_grad else None))
 
 
 # Bytes of im2col columns gathered per GEMM: a block this size is still in
@@ -732,6 +717,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, padding: int = 0,
         if relu and not w.requires_grad:
             np.multiply(g, out_data > 0, out=g)
         g_nhwc = g.transpose(0, 2, 3, 1)
+        dx = dw = db = None
         if w.requires_grad:
             def dw_part(i, xp, cols, rows):
                 if relu:
@@ -745,9 +731,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, padding: int = 0,
             # C_out]: that GEMM layout runs faster than its transpose
             dw = sum(_map_blocks(*padded, dw_part),
                      np.zeros((c_in * k * k, c_out), dtype=g.dtype))
-            _accum(w, np.ascontiguousarray(dw.T).reshape(w_data.shape), owned=True)
+            dw = np.ascontiguousarray(dw.T).reshape(w_data.shape)
         if b is not None and b.requires_grad:
-            _accum(b, g.sum(axis=(0, 2, 3)), owned=True)
+            db = g.sum(axis=(0, 2, 3))
         if x.requires_grad:
             # dx is the full correlation of the gradient with the flipped
             # kernel.  gd is g padded by K - 1, so it holds output o at
@@ -773,7 +759,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, padding: int = 0,
             for _ in _map_blocks(g_nhwc, h * wdt * k * k * c_out, h * wdt * c_in,
                                  framed, at_outputs, dx_block):
                 pass
-            _accum(x, dx, owned=True)
+        return (dx, dw) if b is None else (dx, dw, db)
     return _node(out_data, (x, w) if b is None else (x, w, b), "conv2d", bwd)
 
 
@@ -810,7 +796,7 @@ def max_pool2d(x: Tensor) -> Tensor:
             hit &= free
             free ^= hit
             np.multiply(g, hit, out=gx[..., i::2, j::2])
-        _accum(x, gx, owned=True)
+        return (gx,)
     return _node(out_data, (x,), "max_pool2d", bwd)
 
 
@@ -893,10 +879,7 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: BatchNormStats,
     def bwd(g):
         gsum = g.sum(axis=(0, 2, 3))
         gx_sum = (g * xhat).sum(axis=(0, 2, 3))
-        if gamma.requires_grad:
-            _accum(gamma, gx_sum, owned=True)
-        if beta.requires_grad:
-            _accum(beta, gsum, owned=True)
+        gx = None
         if x.requires_grad:
             coeff = gamma_data.reshape(1, c, 1, 1) * inv_std
             if training:
@@ -904,7 +887,7 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: BatchNormStats,
                               - xhat * gx_sum[None, :, None, None] / count)
             else:
                 gx = coeff * g
-            _accum(x, gx, owned=True)
+        return gx, gx_sum, gsum
     return _node(out_data, parents, "batch_norm2d", bwd)
 
 

@@ -206,6 +206,22 @@ class TestNormalization:
         assert np.array_equal(images, before)
 
 
+@pytest.mark.parametrize("name,call", [
+    ("pad_crop", lambda images: D.pad_crop(images, D.CROP_PAD, D.CROP_PAD)),
+    ("augment_batch", lambda images: D.augment_batch(images, np.random.default_rng(0))),
+    ("channel_stats", D.channel_stats),
+    ("normalize_images", lambda images: D.normalize_images(
+        images, np.zeros(3, np.float32), np.ones(3, np.float32))),
+    ("denormalize_images", lambda images: D.denormalize_images(
+        images, np.zeros(3, np.float32), np.ones(3, np.float32))),
+])
+@pytest.mark.parametrize("shape", [(3, 8, 8), (2, 3, 8, 8, 1)])
+def test_a_batch_that_is_not_nchw_is_rejected(name, call, shape):
+    with pytest.raises(D.DataError, match=re.escape(
+            f"{name}: expected a batch of images [N, C, H, W], got shape {shape}")):
+        call(np.zeros(shape, np.float32))
+
+
 class TestStratifiedSplit:
     def test_exact_proportions(self):
         ds = D.generate_synthetic(D.SyntheticSpec(num_classes=2,

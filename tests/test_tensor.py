@@ -880,7 +880,7 @@ class TestGraph:
         for node in (prod, act, loss):
             assert node.grad is None and node._parents == ()
             assert node._backward is T._released
-        assert relu_closure() is None  # and with it the mask it kept
+        assert relu_closure() is None  # and with it the input it kept
         assert np.array_equal(x.grad, [0.5, 0.0]) and np.array_equal(w.grad, [1.0, 0.0])
         with pytest.raises(RuntimeError, match="already backpropagated"):
             loss.backward()
@@ -961,6 +961,19 @@ class TestGraph:
                     loss.backward()
             finally:
                 T.set_debug_checks(False)
+
+    def test_debug_checks_blame_only_what_this_backward_made(self):
+        # the check reads each gradient a closure returns, not the sum in
+        # .grad, so a leaf left non-finite by an earlier backward is not
+        # blamed on the op that adds to it
+        w = leaf([1.0, 3.0])
+        w.grad = np.array([np.nan, 0.0])
+        T.set_debug_checks(True)
+        try:
+            T.sum_all(T.scale(w, 2.0)).backward()
+        finally:
+            T.set_debug_checks(False)
+        assert np.array_equal(w.grad, [np.nan, 2.0], equal_nan=True)
 
 
 def _ones(x):
@@ -1088,7 +1101,7 @@ class TestCheckGradients:
 
         def nan_gradient():
             out = T._node(w.data.copy(), (w,), "nan_gradient",
-                          lambda g: T._accum(w, np.full(1, np.nan), owned=True))
+                          lambda g: (np.full(1, np.nan),))
             return T.sum_all(out)
 
         # sqrt's objective is NaN at the probe below 0
