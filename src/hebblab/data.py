@@ -249,11 +249,21 @@ def channel_stats(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean.astype(np.float32), std.astype(np.float32)
 
 
+def _check_channel_stats(images: np.ndarray, mean, std, where: str) -> None:
+    """Reject ``images`` unless it is a batch of images, and ``mean`` or
+    ``std`` unless it has one entry per channel of that batch."""
+    _check_batch(images, where)
+    for name, stat in (("mean", mean), ("std", std)):
+        if np.shape(stat) != (images.shape[1],):
+            raise DataError(f"{where}: {name} of shape {np.shape(stat)} does not have "
+                            f"one entry per channel of images of shape {images.shape}")
+
+
 def normalize_images(images: np.ndarray, mean: np.ndarray,
                      std: np.ndarray) -> np.ndarray:
     """(images - mean) / std per channel, divided in place in the difference,
     so only one new array is made."""
-    _check_batch(images, "normalize_images")
+    _check_channel_stats(images, mean, std, "normalize_images")
     out = images - mean[None, :, None, None]
     out /= std[None, :, None, None]
     return out
@@ -261,7 +271,7 @@ def normalize_images(images: np.ndarray, mean: np.ndarray,
 
 def denormalize_images(images: np.ndarray, mean: np.ndarray,
                        std: np.ndarray) -> np.ndarray:
-    _check_batch(images, "denormalize_images")
+    _check_channel_stats(images, mean, std, "denormalize_images")
     return images * std[None, :, None, None] + mean[None, :, None, None]
 
 

@@ -184,10 +184,25 @@ def _as_batch_tensor(model: ModelState, batch) -> Tensor:
     return x
 
 
+# Images per block of an eval forward.  A block's largest activation is then
+# no bigger than a training step's at the config's default batch_size: 64
+# images at 32x32, whose conv1 output is [64, 32, 32, 32].
+EVAL_BLOCK_IMAGES = 64
+
+
 def forward(model: ModelState, batch, mode: str = "eval") -> ForwardTaps:
     """Single pass yielding logits, embedding, and the regularizer taps.
 
-    An eval-mode pass runs under ``no_grad``: its taps carry no graph.
+    An eval-mode pass runs under ``no_grad``: its taps carry no graph.  An
+    eval batch of more than ``EVAL_BLOCK_IMAGES`` images runs as balanced
+    blocks of at most that many, each block's taps copied into whole-batch
+    arrays, so no two whole-batch activations are live at once: a 256-image
+    ``tiny_vgg`` eval at 32x32 held conv1's and conv2's outputs, 33.5 MB
+    each, together.  Every value an eval forward computes is per image (the
+    convs run one GEMM per image, and batch norm uses its running
+    statistics), so the taps equal those of one pass over the whole batch.
+    The blocks are balanced because a block of one image would not: its
+    ``dense`` GEMM of one row rounds differently.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -195,8 +210,28 @@ def forward(model: ModelState, batch, mode: str = "eval") -> ForwardTaps:
     run = _ARCHITECTURES[model.arch][1]
     if mode == "train":
         return run(model, x, True)
+    n = len(x.data)
+    blocks = -(-n // EVAL_BLOCK_IMAGES)
     with T.no_grad():
-        return run(model, x, False)
+        if blocks <= 1:
+            return run(model, x, False)
+        taps = None
+        for j in range(blocks):
+            lo, hi = n * j // blocks, n * (j + 1) // blocks
+            block = run(model, T.Tensor(x.data[lo:hi]), False)
+            if taps is None:
+                # the first block's tap tensors take the whole-batch arrays
+                taps = block
+                for tap in (taps.logits, taps.embedding, taps.hebbian_activation):
+                    whole = np.empty((n, *tap.shape[1:]), dtype=tap.data.dtype)
+                    whole[:hi] = tap.data
+                    tap.data = whole
+            else:
+                taps.logits.data[lo:hi] = block.logits.data
+                taps.embedding.data[lo:hi] = block.embedding.data
+                taps.hebbian_activation.data[lo:hi] = block.hebbian_activation.data
+            del block  # so the next block runs without this one's taps
+        return taps
 
 
 def _forward_tiny_vgg(model: ModelState, x: Tensor, training: bool) -> ForwardTaps:

@@ -20,12 +20,13 @@ run this way.
 
 Layout: every op takes and returns NCHW arrays, and works on them in NCHW.
 ``conv2d`` zero-pads a block of images at a time into one reused buffer and
-builds im2col columns from it by one copy from a strided view; only its
-input gradient gathers in NHWC, from the output gradient padded by K - 1,
-also a block at a time.  Every convolution runs at stride 1 and every
-pooling window is 2x2 at stride 2, the only geometry the backbones use.
-Its forward matches the ``np.tensordot`` contraction bit for bit on every
-backbone shape, but not on every shape (see ``conv2d``).
+builds im2col columns from it by one copy from a strided view.  Its forward
+is one GEMM per image, ``W [C_out, C_in * K * K] @ columns [C_in * K * K,
+Ho * Wo]``, whose product already is that image's NCHW output, so it is
+written there directly.  Only its input gradient gathers in NHWC, from the
+output gradient padded by K - 1, also a block at a time.  Every convolution
+runs at stride 1 and every pooling window is 2x2 at stride 2, the only
+geometry the backbones use.
 
 Per-call cost: the FD gradient check runs thousands of forwards of tiny
 batches, where an op's fixed cost outweighs its arithmetic.  So the
@@ -100,8 +101,8 @@ _M_MMAP_THRESHOLD = -3
 _M_ARENA_MAX = -8
 # Must exceed the largest array a step or an eval batch frees, or that array
 # is unmapped on free and faulted in again next time.  The largest today is
-# a conv1 or conv2 output of a batch-256 eval (32 MiB), which glibc maps even
-# at the 32 MiB ceiling of its dynamic mmap threshold.
+# the Hebbian tap of a batch-256 eval (tiny_vgg's conv2 output, 32 MiB),
+# which glibc maps even at the 32 MiB ceiling of its dynamic mmap threshold.
 _MALLOC_KEEP_BYTES = 1 << 30
 
 
@@ -510,23 +511,30 @@ def _leading(flat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return flat[:math.prod(shape)].reshape(shape)
 
 
-def _columns(xp: np.ndarray, k: int, h_out: int, w_out: int,
-             out: np.ndarray) -> np.ndarray:
+def _columns(xp: np.ndarray, k: int, h_out: int, w_out: int, out: np.ndarray,
+             image_major: bool = False) -> np.ndarray:
     """im2col columns of a block of padded NCHW images as a
     [C_in * K * K, nb * Ho * Wo] matrix, rows in (C_in, K, K) order, written
-    into the leading elements of the 1-d array ``out``.
+    into the leading elements of the 1-d array ``out``; ``image_major``
+    writes them as nb matrices of [C_in * K * K, Ho * Wo], one per image.
 
     One copy from a strided view of ``xp``, which must be C-contiguous, that
-    reads element (c, i, j, n, y, x) at ``xp[n, c, i + y, j + x]``; its inner
-    runs lie along W, and no window is copied on its own.
+    reads element (c, i, j, n, y, x), or (n, c, i, j, y, x) when
+    ``image_major``, at ``xp[n, c, i + y, j + x]``; its inner runs lie along
+    W, and no window is copied on its own.
     (``np.ndarray`` over ``xp``'s buffer makes the view in a tenth of
     ``as_strided``'s time, and checks that it stays inside the buffer.)
     """
     nb, c_in = xp.shape[:2]
-    cols = _leading(out, (c_in, k, k, nb, h_out, w_out))
     s_n, s_c, s_h, s_w = xp.strides
-    np.copyto(cols, np.ndarray(cols.shape, xp.dtype, xp, 0,
-                               (s_c, s_h, s_w, s_n, s_h, s_w)))
+    if image_major:
+        shape, strides = (nb, c_in, k, k, h_out, w_out), (s_n, s_c, s_h, s_w, s_h, s_w)
+    else:
+        shape, strides = (c_in, k, k, nb, h_out, w_out), (s_c, s_h, s_w, s_n, s_h, s_w)
+    cols = _leading(out, shape)
+    np.copyto(cols, np.ndarray(shape, xp.dtype, xp, 0, strides))
+    if image_major:
+        return cols.reshape(nb, c_in * k * k, h_out * w_out)
     return cols.reshape(c_in * k * k, nb * h_out * w_out)
 
 
@@ -637,22 +645,26 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, padding: int = 0,
     zero-pad each block into a reused NCHW buffer (``_map_blocks``) and
     build (C_in, K, K)-ordered columns from it by one copy from a strided
     view (``_columns``).  The backward closure keeps the input itself, not a
-    padded copy.  The forward is ``cols.T @ w.T`` per block: the contraction
-    of ``np.tensordot`` over NCHW windows, with BLAS given the transposed
-    operand; each block's rows, plus the bias, go straight into the NCHW
-    output.  It equals ``np.tensordot`` bit for bit on every backbone shape
-    and every test shape, but that is a property of the BLAS kernels, not
-    of the formula: at (N, C_in, H, C_out) = (3, 5, 7, 6), K = 3, padding
-    1, most outputs differ by one rounding (up to 1.6e-7 of the largest
-    output at float32, 4e-16 at float64).  The weight gradient sums
-    ``cols @ g`` over the blocks.  The input gradient is the full
-    correlation of the output gradient with the flipped kernel, gathered in
-    NHWC (the only NHWC arrays here), so no K x K scatter is needed; it too
-    runs a block of images at a time.  No whole-batch array is made besides
-    the output and the input gradient.  A GEMM reduces each output element
-    in an order that does not depend on its row count, so the blocks change
-    no forward value and no input gradient (the tests pin this).  ``b=None``
-    adds no bias.
+    padded copy.  The forward gathers the columns image by image, [nb,
+    C_in * K * K, Ho * Wo], and runs one stacked GEMM, ``W @ cols`` with W
+    as [C_out, C_in * K * K], whose nb products are written straight into
+    the block's slice of the NCHW output; the bias is added to that slice in
+    place.  Each output value is then one GEMM's reduction over one image's
+    window, so no forward value depends on how the images are cut into
+    blocks or on the pool's width.  On every backbone shape this is bit for
+    bit the ``np.tensordot`` contraction over NCHW windows, but that is a
+    property of the BLAS kernels, not of the formula: at (N, C_in, H,
+    C_out) = (3, 5, 7, 6), K = 3, padding 2, a few outputs differ from it by
+    one rounding (2.6e-8 of the largest output at float32, 2.5e-17 at
+    float64).  The weight gradient sums ``cols @ g`` over the blocks, with
+    the columns of a block side by side, [C_in * K * K, nb * Ho * Wo].  The
+    input gradient is the full correlation of the output gradient with the
+    flipped kernel, gathered in NHWC (the only NHWC arrays here), so no K x
+    K scatter is needed; it too runs a block of images at a time.  No
+    whole-batch array is made besides the output and the input gradient.  A
+    GEMM reduces each output element in an order that does not depend on
+    its row count, so the blocks change no input gradient either (the tests
+    pin this).  ``b=None`` adds no bias.
 
     ``relu=True`` is ``relu(conv2d(...))`` bit for bit, in the output and in
     all three gradients, as one op: each forward block clamps its own slice
@@ -687,28 +699,26 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, padding: int = 0,
     _require(h_out >= 1 and w_out >= 1,
              "conv2d: kernel {} exceeds input {} padded by {}", w.shape, x.shape, padding)
     x_data, w_data = x.data, w.data
-    # the blocks of the forward and the weight gradient: the input, zero-padded,
-    # with room for its columns and for one [Ho * Wo, C_out] matrix per image
-    padded = (x_data, c_in * k * k * h_out * w_out, h_out * w_out * c_out,
-              (c_in, h + 2 * padding, wdt + 2 * padding),
+    # the blocks of the forward and the weight gradient: the input,
+    # zero-padded, with room for its columns; the weight gradient's blocks
+    # also have room for one [Ho * Wo, C_out] matrix of g per image
+    padded = ((c_in, h + 2 * padding, wdt + 2 * padding),
               (slice(None), slice(padding, padding + h), slice(padding, padding + wdt)))
+    col_elems = c_in * k * k * h_out * w_out
 
-    w_cols = w_data.reshape(c_out, -1).T
+    w_rows = w_data.reshape(c_out, -1)
     out_data = np.empty((n, c_out, h_out, w_out), dtype=x_data.dtype)
 
-    def forward_block(i, xp, cols, rows):
-        cols = _columns(xp, k, h_out, w_out, cols)
-        rows = np.matmul(cols.T, w_cols, out=_leading(rows, (cols.shape[1], c_out)))
-        rows = rows.reshape(-1, h_out, w_out, c_out).transpose(0, 3, 1, 2)
+    def forward_block(i, xp, cols, _rows):
         dst = out_data[i:i + len(xp)]
-        if b is None:
-            dst[...] = rows
-        else:
-            np.add(rows, b.data[:, None, None], out=dst)
+        np.matmul(w_rows, _columns(xp, k, h_out, w_out, cols, True),
+                  out=dst.reshape(len(xp), c_out, h_out * w_out))
+        if b is not None:
+            dst += b.data[:, None, None]
         if relu:
             np.maximum(dst, 0, out=dst)
 
-    for _ in _map_blocks(*padded, forward_block):
+    for _ in _map_blocks(x_data, col_elems, 0, *padded, forward_block):
         pass
 
     def bwd(g):
@@ -729,7 +739,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, padding: int = 0,
 
             # summed over the blocks in block order, as [C_in * K * K,
             # C_out]: that GEMM layout runs faster than its transpose
-            dw = sum(_map_blocks(*padded, dw_part),
+            dw = sum(_map_blocks(x_data, col_elems, h_out * w_out * c_out, *padded,
+                                 dw_part),
                      np.zeros((c_in * k * k, c_out), dtype=g.dtype))
             dw = np.ascontiguousarray(dw.T).reshape(w_data.shape)
         if b is not None and b.requires_grad:

@@ -222,6 +222,16 @@ def test_a_batch_that_is_not_nchw_is_rejected(name, call, shape):
         call(np.zeros(shape, np.float32))
 
 
+@pytest.mark.parametrize("name", ["normalize_images", "denormalize_images"])
+@pytest.mark.parametrize("arg", ["mean", "std"])
+def test_channel_stats_need_one_entry_per_channel(name, arg):
+    stats = {"mean": np.zeros(3), "std": np.ones(3), arg: np.ones(4)}
+    with pytest.raises(D.DataError, match=re.escape(
+            f"{name}: {arg} of shape (4,) does not have one entry per channel "
+            f"of images of shape (2, 3, 8, 8)")):
+        getattr(D, name)(np.zeros((2, 3, 8, 8)), stats["mean"], stats["std"])
+
+
 class TestStratifiedSplit:
     def test_exact_proportions(self):
         ds = D.generate_synthetic(D.SyntheticSpec(num_classes=2,

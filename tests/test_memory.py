@@ -184,6 +184,39 @@ def test_tiny_vgg_forward_holds_no_conv_pre_activation(monkeypatch):
     assert live < 40 * 2**20 and peak < 48 * 2**20
 
 
+def test_tiny_vgg_eval_holds_one_block_of_activations(monkeypatch):
+    # 256 images at 32x32, two workers: run as one batch, conv1's and
+    # conv2's outputs (32 MiB each) are live together and the peak is
+    # 72.5 MiB; in blocks of 64 images every op output is at most a block's
+    # conv1 output (8 MiB), and the peak is 55.8 MiB, of which the three
+    # whole-batch taps hold 32.1 MiB.
+    monkeypatch.setattr(T, "_pool_width", 2)
+    monkeypatch.setattr(T, "_pool", None)
+    model = M.build_model("tiny_vgg", num_classes=10, input_size=32, seed=0)
+    images = np.random.default_rng(37).random((256, 3, 32, 32), dtype=np.float32)
+    block_conv1 = M.EVAL_BLOCK_IMAGES * 32 * 32 * 32 * 4
+    sizes, node = [], T._node
+
+    def recording_node(data, *args):
+        sizes.append(data.nbytes)
+        return node(data, *args)
+
+    monkeypatch.setattr(T, "_node", recording_node)
+    tracemalloc.start()
+    try:
+        taps = M.forward(model, images, "eval")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tap_bytes = sum(tap.data.nbytes for tap in (taps.logits, taps.embedding,
+                                                  taps.hebbian_activation))
+    assert sizes.count(block_conv1) == 8 and max(sizes) == block_conv1
+    assert taps.hebbian_activation.shape == (256, 32, 32, 32)
+    # besides the taps: a block's conv1 and conv2 outputs, and the two
+    # workers' columns and frames
+    assert peak < tap_bytes + 2 * block_conv1 + 3 * T._COLUMN_BLOCK_BYTES
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="the memory policy acts through glibc's mallopt")
 def test_warm_phase1_steps_take_no_page_faults():

@@ -124,6 +124,29 @@ class TestForwardModes:
         assert M.forward(model, x, "train").logits._parents != ()
         assert taps.hebbian_weight.requires_grad
 
+    # 65 and 130 images run as balanced blocks of 33 + 32 and 44 + 43 + 43,
+    # 256 as four of 64
+    @pytest.mark.parametrize("size", [16, 32])
+    @pytest.mark.parametrize("n", [65, 130, 256])
+    @pytest.mark.parametrize("arch", ["tiny_vgg", "mini_resnet"])
+    def test_eval_blocks_change_no_tap(self, monkeypatch, arch, n, size):
+        model = M.build_model(arch, num_classes=10, input_size=size, seed=n)
+        rng = np.random.default_rng(n + size)
+        for stats in model.bn.values():
+            channels = len(stats.running_mean)
+            stats.restore((rng.normal(size=channels).astype(np.float32),
+                           rng.uniform(0.5, 2.0, size=channels).astype(np.float32)))
+        x = rng.random((n, 3, size, size), dtype=np.float32)
+        blocked = M.forward(model, x, "eval")
+        monkeypatch.setattr(M, "EVAL_BLOCK_IMAGES", n)
+        whole = M.forward(model, x, "eval")
+        for name in ("logits", "embedding", "hebbian_activation"):
+            got, want = getattr(blocked, name), getattr(whole, name)
+            assert got.data.dtype == want.data.dtype
+            assert got.data.tobytes() == want.data.tobytes()
+            assert got._parents == () and not got.requires_grad
+        assert blocked.hebbian_weight is whole.hebbian_weight
+
     def test_no_grad_restores_the_flag_after_an_exception(self):
         w = T.Tensor(np.ones(2), requires_grad=True)
         with pytest.raises(RuntimeError):
