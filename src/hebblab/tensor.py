@@ -35,6 +35,15 @@ themselves, with the arithmetic of ``np.sum``, ``np.mean`` and ``np.var``
 and every value bit for bit (``_mean``), and an input check formats its
 message only when it fails (``_require``).
 
+FD probes: ``check_gradients`` evaluates its objective twice for each
+probed element and step, with that one parameter element changed, so every
+``conv2d`` upstream of the element sees the inputs it saw in the check's
+analytic evaluation.  Inside a check, a probe's ``conv2d`` call returns the
+output that evaluation's matching call made when its inputs are bitwise
+equal, and computes only otherwise (``_ConvReplay``); every probe value
+stays bit for bit what a recomputation gives.  Outside a check ``conv2d``
+pays one module-global read for this.
+
 Memory: ``Tensor.backward`` releases each interior node once its closure has
 run, dropping the node's gradient, its parents and its closure with what the
 closure kept (masks, inputs).  So an interior gradient lives only until the
@@ -664,7 +673,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, padding: int = 0,
     whole-batch array is made besides the output and the input gradient.  A
     GEMM reduces each output element in an order that does not depend on
     its row count, so the blocks change no input gradient either (the tests
-    pin this).  ``b=None`` adds no bias.
+    pin this).  ``b=None`` adds no bias.  Inside ``check_gradients`` a
+    probe's call whose inputs equal the analytic call's bitwise returns
+    that call's output (see there).
 
     ``relu=True`` is ``relu(conv2d(...))`` bit for bit, in the output and in
     all three gradients, as one op: each forward block clamps its own slice
@@ -699,6 +710,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, padding: int = 0,
     _require(h_out >= 1 and w_out >= 1,
              "conv2d: kernel {} exceeds input {} padded by {}", w.shape, x.shape, padding)
     x_data, w_data = x.data, w.data
+    b_data = None if b is None else b.data
     # the blocks of the forward and the weight gradient: the input,
     # zero-padded, with room for its columns; the weight gradient's blocks
     # also have room for one [Ho * Wo, C_out] matrix of g per image
@@ -707,19 +719,24 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, padding: int = 0,
     col_elems = c_in * k * k * h_out * w_out
 
     w_rows = w_data.reshape(c_out, -1)
-    out_data = np.empty((n, c_out, h_out, w_out), dtype=x_data.dtype)
 
     def forward_block(i, xp, cols, _rows):
         dst = out_data[i:i + len(xp)]
         np.matmul(w_rows, _columns(xp, k, h_out, w_out, cols, True),
                   out=dst.reshape(len(xp), c_out, h_out * w_out))
         if b is not None:
-            dst += b.data[:, None, None]
+            dst += b_data[:, None, None]
         if relu:
             np.maximum(dst, 0, out=dst)
 
-    for _ in _map_blocks(x_data, col_elems, 0, *padded, forward_block):
-        pass
+    replay = _conv_replay
+    out_data = None if replay is None else replay.lookup(x_data, w_data, b_data, padding, relu)
+    if out_data is None:
+        out_data = np.empty((n, c_out, h_out, w_out), dtype=x_data.dtype)
+        for _ in _map_blocks(x_data, col_elems, 0, *padded, forward_block):
+            pass
+        if replay is not None:
+            replay.keep(x_data, w_data, b_data, padding, relu, out_data)
 
     def bwd(g):
         # g is this closure's own array (see Tensor.backward), so the
@@ -944,6 +961,58 @@ def pick(a: Tensor, indices: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _same_bits(a: np.ndarray | None, b: np.ndarray | None) -> bool:
+    """Whether ``a`` and ``b`` are both None, or arrays of one dtype and
+    shape holding the same bits: -0.0 differs from +0.0, and a NaN matches
+    its own bits."""
+    if a is None or b is None:
+        return a is b
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    bits = f"u{a.itemsize}"
+    return np.array_equal(a.view(bits), b.view(bits))
+
+
+class _ConvReplay:
+    """The ``conv2d`` calls of one ``check_gradients`` analytic evaluation,
+    in call order (see there).  ``cursor`` is None while that evaluation
+    runs, and each call is kept; each probe sets it to 0, and the probe's
+    i-th call is looked up against the i-th kept call."""
+
+    __slots__ = ("calls", "cursor")
+
+    def __init__(self):
+        self.calls: list[tuple] = []
+        self.cursor: int | None = None
+
+    def lookup(self, x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
+               padding: int, relu: bool) -> np.ndarray | None:
+        """The kept output for a probe's next call, or None."""
+        if self.cursor is None:
+            return None
+        i = self.cursor
+        self.cursor += 1
+        if i >= len(self.calls):
+            return None
+        kept_x, kept_w, kept_b, kept_padding, kept_relu, out = self.calls[i]
+        if (padding == kept_padding and relu == kept_relu and _same_bits(kept_b, b)
+                and _same_bits(kept_w, w) and _same_bits(kept_x, x)):
+            return out
+        return None
+
+    def keep(self, x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
+             padding: int, relu: bool, out: np.ndarray) -> None:
+        """Keep a call of the analytic evaluation, not of a probe."""
+        if self.cursor is None:
+            out.flags.writeable = False
+            self.calls.append((x.copy(), w.copy(), None if b is None else b.copy(),
+                               padding, relu, out))
+
+
+# the running check_gradients call's conv2d record; None outside one
+_conv_replay: _ConvReplay | None = None
+
+
 def check_gradients(f: Callable[[], Tensor], params: Iterable[Tensor],
                     eps: float | Sequence[float] = 1e-5,
                     max_elements_per_param: int | None = None,
@@ -964,8 +1033,28 @@ def check_gradients(f: Callable[[], Tensor], params: Iterable[Tensor],
     no step, so an element with no finite error at any step counts as inf.
     When ``max_elements_per_param`` is set, a deterministic subsample of
     elements is probed per parameter tensor.  A check that would probe
-    nothing, or divide by a zero or non-finite step, raises ``ValueError``.
+    nothing (no parameter, or none with an element), or divide by a zero or
+    non-finite step, raises ``ValueError``.
+
+    Probes reuse the analytic call's ``conv2d`` outputs.  A probe changes
+    one parameter element, so every conv upstream of it sees the inputs it
+    saw in the analytic call.  So the analytic call keeps every ``conv2d``
+    call it makes, in call order: copies of the input, weight and bias, the
+    padding and ReLU flag, and the output, made read-only.  In each probe,
+    the i-th ``conv2d`` call checks its arguments as always, then returns a
+    node on the i-th kept output when its padding and ReLU flag match and
+    its input, weight and bias are bitwise equal to the kept ones (compared
+    as unsigned integers, so -0.0 is not +0.0 and a NaN matches its own
+    bits); otherwise it computes.  This is exact: a conv's output is a
+    deterministic function of those inputs, whatever the pool width or the
+    block partition, so every probe value is the one a recomputation would
+    give, bit for bit.  A served output is read-only, so an op that wrote
+    into it would raise instead of changing a later probe.  The record holds
+    one analytic evaluation's conv inputs and outputs until the call
+    returns, and is dropped then, also when ``f`` raises; a nested call
+    keeps its own and restores the enclosing one.
     """
+    global _conv_replay
     eps_values = tuple(map(float, [eps] if isinstance(eps, numbers.Real) else eps))
     if max_elements_per_param is not None and max_elements_per_param < 1:
         raise ValueError(f"check_gradients: max_elements_per_param must be >= 1, "
@@ -973,41 +1062,53 @@ def check_gradients(f: Callable[[], Tensor], params: Iterable[Tensor],
     if not eps_values or 0.0 in eps_values or not all(map(math.isfinite, eps_values)):
         raise ValueError(f"check_gradients: eps must be nonzero finite steps, got {eps!r}")
     params = list(params)
-    out = f()
-    if out.data.size != 1:
-        raise ValueError("check_gradients: f() must return a scalar output")
-    for p in params:
-        p.grad = None
-    out.backward()
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
-                for p in params]
+    if not any(p.data.size for p in params):
+        raise ValueError(f"check_gradients: params must hold at least one element to "
+                         f"probe, got shapes {[p.shape for p in params]}")
+    replay = _ConvReplay()
+    saved, _conv_replay = _conv_replay, replay
 
-    rng = np.random.default_rng(seed)
-    max_err = 0.0
-    for p, ga in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        gflat = ga.reshape(-1)
-        n = flat.size
-        if max_elements_per_param is not None and n > max_elements_per_param:
-            probe = np.sort(rng.choice(n, size=max_elements_per_param, replace=False))
-        else:
-            probe = np.arange(n)
-        for i in probe:
-            orig = flat[i]
-            err = math.inf
-            for step in eps_values:
-                with no_grad():
-                    flat[i] = orig + step
-                    f_plus = float(f().data)
-                    flat[i] = orig - step
-                    f_minus = float(f().data)
+    def probe(value: float, flat: np.ndarray, i: int) -> float:
+        flat[i] = value
+        replay.cursor = 0
+        return float(f().data)
+
+    try:
+        out = f()
+        if out.data.size != 1:
+            raise ValueError("check_gradients: f() must return a scalar output")
+        for p in params:
+            p.grad = None
+        out.backward()
+        analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+                    for p in params]
+
+        rng = np.random.default_rng(seed)
+        max_err = 0.0
+        for p, ga in zip(params, analytic):
+            flat = p.data.reshape(-1)
+            gflat = ga.reshape(-1)
+            n = flat.size
+            if max_elements_per_param is not None and n > max_elements_per_param:
+                probed = np.sort(rng.choice(n, size=max_elements_per_param, replace=False))
+            else:
+                probed = np.arange(n)
+            for i in probed:
+                orig = flat[i]
+                err = math.inf
+                for step in eps_values:
+                    with no_grad():
+                        f_plus = probe(orig + step, flat, i)
+                        f_minus = probe(orig - step, flat, i)
+                    flat[i] = orig
+                    numeric = (f_plus - f_minus) / (2.0 * step)
+                    this = abs(float(gflat[i]) - numeric) / max(abs(float(gflat[i])),
+                                                                abs(numeric), 1e-8)
+                    err = min(err, this)  # a NaN ``this`` is never less, so never kept
+                    if err < 1e-7:
+                        break
                 flat[i] = orig
-                numeric = (f_plus - f_minus) / (2.0 * step)
-                this = abs(float(gflat[i]) - numeric) / max(abs(float(gflat[i])),
-                                                            abs(numeric), 1e-8)
-                err = min(err, this)  # a NaN ``this`` is never less, so never kept
-                if err < 1e-7:
-                    break
-            flat[i] = orig
-            max_err = max(max_err, err)
-    return max_err
+                max_err = max(max_err, err)
+        return max_err
+    finally:
+        _conv_replay = saved

@@ -9,6 +9,7 @@ import threading
 import time
 import warnings
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -1137,11 +1138,133 @@ class TestCheckGradients:
         ({"eps": (1e-5, 0.0)}, "eps"),
         ({"eps": np.inf}, "eps"),
         ({"eps": (1e-5, np.nan)}, "eps"),
+        ({"params": []}, "params"),
+        ({"params": [T.Tensor(np.zeros(0)), T.Tensor(np.zeros((2, 0)))]}, "params"),
     ])
     def test_rejects_an_argument_that_probes_nothing(self, kwargs, name):
         w = leaf([1.0, 2.0])
         with pytest.raises(ValueError, match=f"check_gradients: {name} must"):
-            T.check_gradients(lambda: T.sum_all(T.square(w)), [w], **kwargs)
+            T.check_gradients(lambda: T.sum_all(T.square(w)), **{"params": [w], **kwargs})
+
+
+def count_columns(monkeypatch) -> Counter:
+    """Count ``_columns`` calls by the channel count of the padded block."""
+    counts = Counter()
+    columns = T._columns
+
+    def counted(xp, *args):
+        counts[xp.shape[1]] += 1
+        return columns(xp, *args)
+    monkeypatch.setattr(T, "_columns", counted)
+    return counts
+
+
+class TestConvReplay:
+    """``check_gradients``' probes reuse the analytic call's conv2d outputs
+    when a call's inputs are bitwise the ones it had there."""
+
+    def test_a_conv_upstream_of_the_probed_weight_runs_once(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        x = leaf(rng.normal(size=(2, 2, 5, 5)), requires_grad=False)
+        w1 = leaf(rng.normal(size=(3, 2, 3, 3)), requires_grad=False)
+        w2 = leaf(rng.normal(size=(4, 3, 3, 3)))
+        counts = count_columns(monkeypatch)
+
+        def build():
+            h = T.conv2d(x, w1, padding=1, relu=True)
+            return T.sum_all(T.square(T.conv2d(h, w2, padding=1)))
+
+        assert T.check_gradients(build, [w2], eps=1e-6) < 1e-6
+        # the first conv (2 input channels) gathers columns in the analytic
+        # forward only; the second (3) in that forward, its weight gradient
+        # and each of the two probes per element
+        assert counts == {2: 1, 3: 2 + 2 * w2.data.size}
+
+    @pytest.mark.parametrize("change", ["none", "x", "w", "b", "signed_zero", "padding",
+                                        "relu"])
+    def test_a_probe_is_served_only_on_bitwise_equal_inputs(self, change):
+        rng = np.random.default_rng(32)
+        base = {"x": rng.normal(size=(2, 2, 4, 4)), "w": rng.normal(size=(3, 2, 3, 3)),
+                "b": rng.normal(size=3), "padding": 1, "relu": False}
+        base["x"][0, 0, 0, 0] = 0.0
+        probed = {k: np.copy(v) if isinstance(v, np.ndarray) else v for k, v in base.items()}
+        if change in ("x", "w", "b"):
+            probed[change].flat[1] = np.nextafter(probed[change].flat[1], np.inf)
+        elif change == "signed_zero":
+            probed["x"][0, 0, 0, 0] = -0.0
+        elif change == "padding":
+            probed["padding"] = 0
+        elif change == "relu":
+            probed["relu"] = True
+        s = leaf([1.5])
+        outputs = []
+
+        def conv(args):
+            return T.conv2d(T.Tensor(args["x"]), T.Tensor(args["w"]), T.Tensor(args["b"]),
+                            padding=args["padding"], relu=args["relu"]).data
+
+        def build():
+            outputs.append(conv(probed if outputs else base))
+            return T.sum_all(T.square(s))
+
+        T.check_gradients(build, [s], eps=1e-5)
+        assert len(outputs) == 3
+        fresh = conv(probed)
+        for out in outputs[1:]:
+            assert (out is outputs[0]) == (change == "none")
+            assert out.tobytes() == fresh.tobytes()
+
+    def test_serving_changes_no_gradcheck_result(self, monkeypatch):
+        from hebblab.gradcheck import run_gradcheck
+
+        counts = count_columns(monkeypatch)
+        served = [r.max_rel_error for r in run_gradcheck(max_elements_per_param=1)]
+        columns_served = sum(counts.values())
+        counts.clear()
+        monkeypatch.setattr(T._ConvReplay, "lookup", lambda self, *args: None)
+        computed = [r.max_rel_error for r in run_gradcheck(max_elements_per_param=1)]
+        assert served == computed
+        assert columns_served < sum(counts.values())
+
+    def test_no_record_outlives_the_check(self, monkeypatch):
+        w = leaf(np.random.default_rng(33).normal(size=(2, 1, 3, 3)))
+        x = leaf(np.ones((1, 1, 4, 4)), requires_grad=False)
+        outputs = []
+
+        def build():
+            out = T.conv2d(x, w)
+            outputs.append(out.data)
+            return T.sum_all(out)
+
+        def raising():
+            if outputs:
+                raise RuntimeError("probe failed")
+            return build()
+
+        with pytest.raises(RuntimeError, match="probe failed"):
+            T.check_gradients(raising, [w])
+        assert T._conv_replay is None
+        # the kept output, which a probe with the same inputs is served
+        with pytest.raises(ValueError, match="read-only"):
+            outputs[0][...] = 0.0
+        T.check_gradients(build, [w])
+        assert T._conv_replay is None
+        counts = count_columns(monkeypatch)
+        out = T.conv2d(x, w).data
+        assert counts == {1: 1} and out.flags.writeable
+
+    def test_a_nested_check_restores_the_enclosing_record(self):
+        w = leaf([2.0])
+        enclosing = []
+
+        def build():
+            before = T._conv_replay
+            T.check_gradients(lambda: T.sum_all(T.square(w)), [w])
+            enclosing.append(before is not None and T._conv_replay is before)
+            return T.sum_all(T.square(w))
+
+        assert T.check_gradients(build, [w]) < 1e-9
+        assert enclosing and all(enclosing) and T._conv_replay is None
 
 
 class TestPrecisionSwitch:
